@@ -11,7 +11,7 @@ gamma coordinate.
 
 import json
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, ONE
 from .poly import (
     Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
     var_from_str, PolyParseError,
@@ -97,13 +97,14 @@ def generic_system(rank):
                     for i3 in (1, 2, 3):
                         for j3 in (1, 2, 3):
                             alpha = ((i1, j1), (i2, j2), (i3, j3))
-                            lhs = Polynomial()
-                            for j in range(1, rank + 1):
-                                lhs = lhs + (
-                                    Polynomial.variable(BrentVar(0, j, i1, j1))
-                                    * Polynomial.variable(BrentVar(1, j, i2, j2))
-                                    * Polynomial.variable(BrentVar(2, j, i3, j3))
-                                )
+                            # x < y < z in variable order, so each
+                            # monomial is already sorted
+                            lhs = Polynomial({
+                                ((BrentVar(0, j, i1, j1), 1),
+                                 (BrentVar(1, j, i2, j2), 1),
+                                 (BrentVar(2, j, i3, j3), 1)): ONE
+                                for j in range(1, rank + 1)
+                            })
                             rhs = target.coeff(alpha).constant_value()
                             equations.append(Equation(alpha, lhs, rhs))
     return BrentSystem("generic", variables, equations, rank=rank)

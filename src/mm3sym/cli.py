@@ -35,6 +35,11 @@ class UsageError(Exception):
     pass
 
 
+def _require_positive(value, flag):
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1")
+
+
 def _parse_scalars(text):
     return [parse_cyclotomic(s) for s in text.split(",")]
 
@@ -55,6 +60,7 @@ def _write(path, data, out):
 
 
 def _cmd_verify(args, out):
+    _require_positive(args.max_length, "--max-length")
     report = prover.verify_theorem(args.max_length)
     if args.report == "json":
         rec = {
@@ -105,6 +111,7 @@ def _cmd_classes(args, out):
 
 
 def _cmd_multisets(args, out):
+    _require_positive(args.max_length, "--max-length")
     for m in prover.enumerate_multisets(args.max_length):
         out.write(",".join(str(fid) for fid in m) + "\n")
     return 0
@@ -114,6 +121,7 @@ def _cmd_brent(args, out):
     if args.mode == "generic":
         if args.rank is None:
             raise UsageError("--mode generic requires --rank")
+        _require_positive(args.rank, "--rank")
         system = brent.generic_system(args.rank)
     else:
         if args.types is None:
@@ -217,3 +225,7 @@ def run(argv=None, out=None):
 
 def entry():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

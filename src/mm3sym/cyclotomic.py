@@ -11,15 +11,40 @@ from fractions import Fraction
 
 __all__ = ["Cyclotomic", "ZERO", "ONE", "ZETA", "ZETA_BAR", "IMAG", "ROOT12"]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _canon(x):
+    """A rational coordinate in canonical form: an int when it is
+    integral, otherwise a Fraction.  Floats and other types are
+    rejected, so inexact values never enter the field."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"coordinate must be an int or a Fraction, not {x!r}")
+
+
+def _make(c0, c1, c2, c3):
+    """Wrap coordinates that are already ints or Fractions; only a
+    Fraction result needs normalizing."""
+    out = object.__new__(Cyclotomic)
+    if type(c0) is type(c1) is type(c2) is type(c3) is int:
+        out.coords = (c0, c1, c2, c3)
+    else:
+        out.coords = (_canon(c0), _canon(c1), _canon(c2), _canon(c3))
+    return out
 
 
 class Cyclotomic:
+    """An element of Q(zeta_12).  Each coordinate is an int when it is
+    integral and a Fraction otherwise, never a float; integer
+    arithmetic is the fast path."""
+
     __slots__ = ("coords",)
 
     def __init__(self, coords=(0, 0, 0, 0)):
-        c = tuple(Fraction(x) for x in coords)
+        c = tuple(_canon(x) for x in coords)
         if len(c) != 4:
             raise ValueError("need 4 coordinates")
         self.coords = c
@@ -28,7 +53,7 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, p, q=None):
-        return cls((Fraction(p) if q is None else Fraction(p, q), 0, 0, 0))
+        return cls((p if q is None else Fraction(p, q), 0, 0, 0))
 
     @classmethod
     def zeta(cls):
@@ -53,7 +78,7 @@ class Cyclotomic:
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic((Fraction(x), 0, 0, 0))
+            return _make(x, 0, 0, 0)
         raise TypeError(f"cannot coerce {x!r} to Cyclotomic")
 
     # -- ring structure ----------------------------------------------
@@ -61,13 +86,13 @@ class Cyclotomic:
     def __add__(self, other):
         other = Cyclotomic.coerce(other)
         a, b = self.coords, other.coords
-        return Cyclotomic((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        return _make(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self.coords
-        return Cyclotomic((-a[0], -a[1], -a[2], -a[3]))
+        return _make(-a[0], -a[1], -a[2], -a[3])
 
     def __sub__(self, other):
         return self + (-Cyclotomic.coerce(other))
@@ -77,33 +102,33 @@ class Cyclotomic:
 
     def __mul__(self, other):
         other = Cyclotomic.coerce(other)
-        a, b = self.coords, other.coords
-        prod = [_F0] * 7
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                prod[i + j] += a[i] * b[j]
-        # reduce: w^4 = w^2 - 1, w^5 = w^3 - w, w^6 = -1
-        c0 = prod[0] - prod[4] - prod[6]
-        c1 = prod[1] - prod[5]
-        c2 = prod[2] + prod[4]
-        c3 = prod[3] + prod[5]
-        return Cyclotomic((c0, c1, c2, c3))
+        a0, a1, a2, a3 = self.coords
+        b0, b1, b2, b3 = other.coords
+        # the product has degree <= 6; reduce by w^4 = w^2 - 1,
+        # w^5 = w^3 - w, w^6 = -1
+        p4 = a1 * b3 + a2 * b2 + a3 * b1
+        p5 = a2 * b3 + a3 * b2
+        return _make(
+            a0 * b0 - p4 - a3 * b3,
+            a0 * b1 + a1 * b0 - p5,
+            a0 * b2 + a1 * b1 + a2 * b0 + p4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5,
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = ONE
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return ONE if out is None else out
+            base = base * base
 
     def galois(self, k):
         """Image under the automorphism w -> w^k, k in {1, 5, 7, 11}."""
@@ -112,13 +137,13 @@ class Cyclotomic:
             return self
         if k == 5:
             # w -> w^3 - w, w^2 -> 1 - w^2, w^3 -> w^3
-            return Cyclotomic((c0 + c2, -c1, -c2, c1 + c3))
+            return _make(c0 + c2, -c1, -c2, c1 + c3)
         if k == 7:
             # w -> -w
-            return Cyclotomic((c0, -c1, c2, -c3))
+            return _make(c0, -c1, c2, -c3)
         if k == 11:
             # w -> w^-1 = w - w^3
-            return Cyclotomic((c0 + c2, c1, -c2, -c1 - c3))
+            return _make(c0 + c2, c1, -c2, -c1 - c3)
         raise ValueError("k must be coprime to 12")
 
     def conj(self):
@@ -133,7 +158,7 @@ class Cyclotomic:
         norm = (self * cof).coords
         assert norm[1] == norm[2] == norm[3] == 0
         n = norm[0]
-        return Cyclotomic(tuple(c / n for c in cof.coords))
+        return _make(*(Fraction(c, n) for c in cof.coords))
 
     def __truediv__(self, other):
         return self * Cyclotomic.coerce(other).inv()
@@ -160,6 +185,7 @@ class Cyclotomic:
         return self.coords[1] == 0 and self.coords[2] == 0 and self.coords[3] == 0
 
     def as_fraction(self):
+        """The rational value: an int when integral, else a Fraction."""
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.coords[0]

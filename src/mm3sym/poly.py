@@ -146,7 +146,7 @@ class Polynomial:
     def substitute(self, assignment):
         """Replace the given variables by Cyclotomic values, leaving
         the rest symbolic."""
-        out = Polynomial()
+        terms = {}
         for m, c in self.terms.items():
             coeff = c
             rest = []
@@ -155,9 +155,19 @@ class Polynomial:
                     coeff = coeff * Cyclotomic.coerce(assignment[v]) ** e
                 else:
                     rest.append((v, e))
-            if coeff:
-                out = out + Polynomial({tuple(rest): coeff})
-        return out
+            if not coeff:
+                continue
+            rest = tuple(rest)
+            s = terms.get(rest)
+            if s is None:
+                terms[rest] = coeff
+            else:
+                s = s + coeff
+                if s:
+                    terms[rest] = s
+                else:
+                    del terms[rest]
+        return Polynomial(terms)
 
     def map_vars(self, fn):
         """Rename variables via fn (must stay injective on each monomial)."""

@@ -10,7 +10,6 @@ symbolically at run time before any certificate is issued.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic

@@ -6,7 +6,7 @@ import pytest
 
 from mm3sym import brent, group
 from mm3sym.cyclotomic import Cyclotomic
-from mm3sym.poly import BrentVar, ParamId, parse_polynomial
+from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import Tensor, matrix_from_dict, tensor_from_factors
 from mm3sym.catalog import matmul_tensor, get_family
 from mm3sym.prover import enumerate_multisets
@@ -34,6 +34,24 @@ def test_generic_structure():
     assert eq.rhs == Cyclotomic.rational(1)
     ones = sum(1 for e in s.equations if e.rhs == Cyclotomic.rational(1))
     assert ones == 27  # one per entry of the target tensor
+
+
+def test_generic_matches_termwise_build():
+    s = brent.generic_system(2)
+    target = matmul_tensor()
+    want = []
+    for eq in s.equations:
+        alpha = eq.label
+        lhs = Polynomial()
+        for j in (1, 2):
+            lhs = lhs + (
+                Polynomial.variable(BrentVar(0, j, *alpha[0]))
+                * Polynomial.variable(BrentVar(1, j, *alpha[1]))
+                * Polynomial.variable(BrentVar(2, j, *alpha[2]))
+            )
+        want.append((alpha, lhs, target.coeff(alpha).constant_value()))
+    assert [(eq.label, eq.lhs, eq.rhs) for eq in s.equations] == want
+    assert len({eq.label for eq in s.equations}) == 729
 
 
 def test_trivial_solution():

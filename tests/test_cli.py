@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from mm3sym.cli import run
 from mm3sym import brent
@@ -85,6 +89,27 @@ def test_brent_usage_errors():
     assert code == 2
     code, _ = capture(["brent", "--mode", "invariant"])
     assert code == 2
+
+
+def test_nonpositive_sizes_are_usage_errors():
+    for argv in (["verify", "--max-length", "0"],
+                 ["multisets", "--max-length", "0"],
+                 ["brent", "--mode", "generic", "--rank", "0"]):
+        code, text = capture(argv)
+        assert code == 2, argv
+        assert text == ""
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mm3sym.cli", "multisets", "--max-length", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["5", "6", "6,7", "7", "7,7", "7,7,7"]
 
 
 def test_check_solution(tmp_path):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
+from mm3sym.poly import parse_cyclotomic
 
 
 def rand_cyc(rng):
@@ -110,3 +112,101 @@ def test_qbasis_roundtrip():
         back = (Cyclotomic.rational(q0) + ZETA * q1 + IMAG * q2
                 + IMAG * ZETA * q3)
         assert back == x
+
+
+def test_float_rejected():
+    with pytest.raises(TypeError):
+        Cyclotomic((0.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        Cyclotomic((0, 0, 1.0, 0))
+    with pytest.raises(TypeError):
+        Cyclotomic.rational(0.5)
+    with pytest.raises(TypeError):
+        Cyclotomic.coerce(0.5)
+
+
+def test_integral_fractions_become_ints():
+    x = Cyclotomic((Fraction(4, 2), Fraction(1, 2), True, 0))
+    assert x.coords == (2, Fraction(1, 2), 1, 0)
+    assert type(x.coords[0]) is int and type(x.coords[2]) is int
+    assert type(Cyclotomic.rational(6, 3).coords[0]) is int
+
+
+# -- property tests --------------------------------------------------
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8)),
+)
+cyclotomics = st.builds(
+    lambda cs: Cyclotomic(cs), st.tuples(rationals, rationals, rationals, rationals))
+nonzero = cyclotomics.filter(bool)
+GALOIS = (1, 5, 7, 11)
+
+
+def assert_canonical(x):
+    """int when integral, Fraction otherwise, never a float"""
+    assert len(x.coords) == 4
+    for c in x.coords:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            repr(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomics, cyclotomics, cyclotomics)
+def test_field_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x and x * ONE == x
+    assert x + (-x) == ZERO and x - y == x + (-y)
+    if x:
+        assert (y / x) * x == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomics, cyclotomics, st.sampled_from(GALOIS))
+def test_galois_ring_homomorphism(x, y, k):
+    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+    assert (-x).galois(k) == -x.galois(k)
+    assert ONE.galois(k) == ONE
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero)
+def test_inverse_property(x):
+    assert x * x.inv() == ONE
+    assert x.inv().inv() == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomics, st.integers(0, 13))
+def test_pow_matches_repeated_product(x, n):
+    want = ONE
+    for _ in range(n):
+        want = want * x
+    assert x ** n == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomics, nonzero, st.sampled_from(GALOIS), st.integers(0, 5))
+def test_coordinates_stay_canonical(x, y, k, n):
+    assert_canonical(x)
+    for v in (x + y, x - y, -x, x * y, x ** n, x.galois(k), x.conj(),
+              y.inv(), x / y, 1 / y, x / 3, 2 - x,
+              parse_cyclotomic(str(x)), parse_cyclotomic(str(y.inv()))):
+        assert_canonical(v)
+    assert parse_cyclotomic(str(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50).filter(bool))
+def test_rational_is_canonical(p, q):
+    x = Cyclotomic.rational(p, q)
+    assert_canonical(x)
+    assert x.as_fraction() == Fraction(p, q)
+    assert_canonical(Cyclotomic.rational(p))
+    assert_canonical(Cyclotomic.coerce(Fraction(p, q)))

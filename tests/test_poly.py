@@ -71,6 +71,36 @@ def test_substitute():
     assert full.constant_value() == ZETA * 3 + 6
 
 
+def test_substitute_collisions_cancel():
+    p = parse_polynomial("a*x3_12 - b*x3_12")
+    q = p.substitute({A: 1, B: 1})
+    assert q == Polynomial()
+    assert q.terms == {}
+    # partial collisions add up; cancelled monomials are dropped
+    p = parse_polynomial("a*b + 2*b^2 - 3*a^2*b + a*b^2 + c")
+    q = p.substitute({A: 1})
+    assert q.terms == parse_polynomial("-2*b + 3*b^2 + c").terms
+    assert all(q.terms.values())
+    assert p.substitute({A: 2, B: 1}) == parse_polynomial("c - 6")
+
+
+def test_substitute_matches_termwise_sum():
+    rng = random.Random(31)
+    for _ in range(40):
+        p = rand_poly(rng, nterms=6)
+        values = {ParamId(0, "ab"[k]): rand_cyc(rng) for k in range(2)}
+        want = Polynomial()
+        for m, c in p.terms.items():
+            t = Polynomial.constant(c)
+            for v, e in m:
+                t = t * (Polynomial.constant(values[v]) if v in values
+                         else Polynomial.variable(v)) ** e
+            want = want + t
+        got = p.substitute(values)
+        assert got == want
+        assert all(got.terms.values())
+
+
 def test_map_vars():
     p = parse_polynomial("a^2*b + b")
     q = p.map_vars(lambda v: ParamId(4, v.letter))
