@@ -4,22 +4,22 @@ Each family is stored as structured factor templates (3x3 polynomial
 matrices in its parameter letters), together with its power structure:
 a perfect cube w^(x)3, a square u^(x)2 (x) v, or three distinct
 factors.  A few families carry an overall scalar parameter instead of
-a parameter inside a factor.  The same data drives tensor expansion,
-symmetry checks and the shipped catalog.json.
+a parameter inside a factor.  The packaged data/catalog.json is the one
+source of the families: edit the catalog there.
 """
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 from .cyclotomic import Cyclotomic
-from .poly import Polynomial, ParamId, parse_polynomial, PARAM_LETTERS
+from .poly import Polynomial, ParamId, parse_polynomial
 from .tensors import Tensor, matrix, tensor_from_factors
 
 __all__ = [
     "OrbitFamily", "CatalogError", "get_family", "all_families",
     "family_tensor", "matmul_tensor", "special_matrix",
-    "LINEAR_SCALING_FAMILIES", "verify_catalog", "write_catalog_json",
-    "families_from_json",
+    "LINEAR_SCALING_FAMILIES", "verify_catalog", "families_from_json",
 ]
 
 # Families whose tensor is linear in the parameter array (z' = z in the
@@ -31,140 +31,6 @@ _KAPPA = (("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0"))
 _ETA = (("1", "0", "0"), ("0", "z", "0"), ("0", "0", "zb"))
 _ETA_BAR = (("1", "0", "0"), ("0", "zb", "0"), ("0", "0", "z"))
 _TAU = (("0", "1", "-1"), ("-1", "0", "1"), ("1", "-1", "0"))
-
-# (id, length, params, power, scale, factor matrices)
-# power: "cube" = one factor cubed, "square" = u,u,v, "triple" = u,v,w
-_RAW = (
-    (1, 12, "abcd", "cube", None,
-     [(("a", "b", "d"), ("b", "a", "d"), ("d", "d", "c"))]),
-    (2, 12, "abcd", "cube", None,
-     [(("a", "d", "0"), ("d", "b", "0"), ("0", "0", "c"))]),
-    (3, 6, "abc", "cube", None,
-     [(("a", "c", "0"), ("c", "a", "0"), ("0", "0", "b"))]),
-    (4, 6, "abc", "cube", None,
-     [(("a", "0", "0"), ("0", "b", "0"), ("0", "0", "c"))]),
-    (5, 3, "ab", "cube", None,
-     [(("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b"))]),
-    (6, 2, "a", "cube", "a", [_ETA]),
-    (7, 1, "a", "cube", "a", [_DELTA]),
-    (8, 16, "abc", "cube", None,
-     [(("a", "b", "zb*c"), ("c", "z*a", "z*b"), ("zb*b", "z*c", "zb*a"))]),
-    (9, 4, "ab", "cube", None,
-     [(("a", "b", "b"), ("b", "a", "b"), ("b", "b", "a"))]),
-    (10, 8, "ab", "cube", None,
-     [(("a", "b", "zb*b"), ("b", "z*a", "z*b"), ("zb*b", "z*b", "zb*a"))]),
-    (11, 8, "abc", "cube", None,
-     [(("a", "b", "c"), ("c", "a", "b"), ("b", "c", "a"))]),
-    (12, 6, "abc", "cube", None,
-     [(("a", "b", "0"), ("-b", "a", "0"), ("0", "0", "c"))]),
-    (13, 12, "abcd", "cube", None,
-     [(("a", "b", "d"), ("b", "a", "d"), ("-d", "-d", "c"))]),
-    (14, 12, "abcd", "cube", None,
-     [(("a", "b", "0"), ("c", "a", "0"), ("0", "0", "d"))]),
-    (15, 12, "abcd", "cube", None,
-     [(("a", "c", "0"), ("-c", "b", "0"), ("0", "0", "d"))]),
-    (16, 18, "abcdfg", "triple", None,
-     [(("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b")),
-      (("c", "0", "0"), ("0", "c", "0"), ("0", "0", "d")),
-      (("f", "0", "0"), ("0", "f", "0"), ("0", "0", "g"))]),
-    (17, 18, "a", "triple", "a",
-     [(("1", "0", "0"), ("0", "-1", "0"), ("0", "0", "0")),
-      (("0", "1", "0"), ("1", "0", "0"), ("0", "0", "0")),
-      (("0", "1", "0"), ("-1", "0", "0"), ("0", "0", "0"))]),
-    (18, 9, "ab", "square", None,
-     [(("1", "0", "0"), ("0", "-1", "0"), ("0", "0", "0")),
-      (("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b"))]),
-    (19, 9, "ab", "square", None,
-     [(("0", "1", "0"), ("1", "0", "0"), ("0", "0", "0")),
-      (("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b"))]),
-    (20, 9, "ab", "square", None,
-     [(("0", "1", "0"), ("-1", "0", "0"), ("0", "0", "0")),
-      (("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b"))]),
-    (21, 9, "abcd", "square", None,
-     [(("a", "0", "0"), ("0", "a", "0"), ("0", "0", "b")),
-      (("c", "0", "0"), ("0", "c", "0"), ("0", "0", "d"))]),
-    (22, 18, "abcdfg", "square", None,
-     [(("a", "b", "0"), ("b", "a", "0"), ("0", "0", "c")),
-      (("d", "f", "0"), ("f", "d", "0"), ("0", "0", "g"))]),
-    (23, 18, "abcdf", "triple", None,
-     [(("a", "b", "0"), ("-b", "-a", "0"), ("0", "0", "0")),
-      (("a", "-b", "0"), ("b", "-a", "0"), ("0", "0", "0")),
-      (("c", "d", "0"), ("d", "c", "0"), ("0", "0", "f"))]),
-    (24, 18, "abcdf", "triple", None,
-     [(("0", "0", "a"), ("0", "0", "a"), ("b", "b", "0")),
-      (("0", "0", "b"), ("0", "0", "b"), ("a", "a", "0")),
-      (("c", "d", "0"), ("d", "c", "0"), ("0", "0", "f"))]),
-    (25, 18, "abcdfg", "square", None,
-     [(("a", "0", "0"), ("0", "b", "0"), ("0", "0", "c")),
-      (("d", "0", "0"), ("0", "f", "0"), ("0", "0", "g"))]),
-    (26, 18, "abcdf", "triple", None,
-     [(("0", "a", "0"), ("b", "0", "0"), ("0", "0", "0")),
-      (("0", "b", "0"), ("a", "0", "0"), ("0", "0", "0")),
-      (("c", "0", "0"), ("0", "d", "0"), ("0", "0", "f"))]),
-    (27, 18, "abcdf", "triple", None,
-     [(("a", "b", "0"), ("-b", "a", "0"), ("0", "0", "c")),
-      (("a", "-b", "0"), ("b", "a", "0"), ("0", "0", "c")),
-      (("d", "0", "0"), ("0", "d", "0"), ("0", "0", "f"))]),
-    (28, 18, "abcd", "square", None,
-     [(("a", "b", "0"), ("b", "-a", "0"), ("0", "0", "0")),
-      (("c", "0", "0"), ("0", "c", "0"), ("0", "0", "d"))]),
-    (29, 18, "abcd", "triple", None,
-     [(("0", "0", "a"), ("0", "0", "i*a"), ("b", "i*b", "0")),
-      (("0", "0", "b"), ("0", "0", "i*b"), ("a", "i*a", "0")),
-      (("c", "d", "0"), ("d", "-c", "0"), ("0", "0", "0"))]),
-    (30, 18, "abcdf", "triple", None,
-     [(("a", "b", "0"), ("b", "a", "0"), ("0", "0", "c")),
-      (("a", "-b", "0"), ("-b", "a", "0"), ("0", "0", "c")),
-      (("d", "0", "0"), ("0", "d", "0"), ("0", "0", "f"))]),
-    (31, 18, "abcd", "square", None,
-     [(("a", "b", "0"), ("-b", "-a", "0"), ("0", "0", "0")),
-      (("c", "0", "0"), ("0", "c", "0"), ("0", "0", "d"))]),
-    (32, 18, "abcd", "triple", None,
-     [(("0", "0", "a"), ("0", "0", "a"), ("b", "b", "0")),
-      (("0", "0", "b"), ("0", "0", "-b"), ("a", "-a", "0")),
-      (("c", "d", "0"), ("-d", "-c", "0"), ("0", "0", "0"))]),
-    (33, 18, "abcdf", "triple", None,
-     [(("a", "0", "0"), ("0", "b", "0"), ("0", "0", "c")),
-      (("b", "0", "0"), ("0", "a", "0"), ("0", "0", "c")),
-      (("d", "0", "0"), ("0", "d", "0"), ("0", "0", "f"))]),
-    (34, 18, "abcd", "square", None,
-     [(("0", "a", "0"), ("b", "0", "0"), ("0", "0", "0")),
-      (("c", "0", "0"), ("0", "c", "0"), ("0", "0", "d"))]),
-    (35, 18, "abcd", "triple", None,
-     [(("0", "0", "a"), ("0", "0", "0"), ("b", "0", "0")),
-      (("0", "0", "0"), ("0", "0", "b"), ("0", "a", "0")),
-      (("0", "c", "0"), ("d", "0", "0"), ("0", "0", "0"))]),
-    (36, 18, "abcdfg", "square", None,
-     [(("a", "b", "0"), ("-b", "a", "0"), ("0", "0", "c")),
-      (("d", "f", "0"), ("-f", "d", "0"), ("0", "0", "g"))]),
-    (37, 18, "abcdf", "triple", None,
-     [(("a", "b", "0"), ("b", "-a", "0"), ("0", "0", "0")),
-      (("a", "-b", "0"), ("-b", "-a", "0"), ("0", "0", "0")),
-      (("c", "d", "0"), ("-d", "c", "0"), ("0", "0", "f"))]),
-    (38, 18, "abcdf", "triple", None,
-     [(("0", "0", "a"), ("0", "0", "i*a"), ("b", "i*b", "0")),
-      (("0", "0", "b"), ("0", "0", "-i*b"), ("a", "-i*a", "0")),
-      (("c", "d", "0"), ("-d", "c", "0"), ("0", "0", "f"))]),
-    (39, 6, "a", "triple", "a", [_ETA, _ETA_BAR, _DELTA]),
-    (40, 12, "abcd", "square", None,
-     [(("a", "b", "b"), ("b", "a", "b"), ("b", "b", "a")),
-      (("c", "d", "d"), ("d", "c", "d"), ("d", "d", "c"))]),
-    (41, 12, "ab", "square", None,
-     [_TAU,
-      (("a", "b", "b"), ("b", "a", "b"), ("b", "b", "a"))]),
-    (42, 12, "abc", "triple", None,
-     [(("a", "0", "0"), ("0", "b", "0"), ("0", "0", "c")),
-      (("c", "0", "0"), ("0", "a", "0"), ("0", "0", "b")),
-      (("b", "0", "0"), ("0", "c", "0"), ("0", "0", "a"))]),
-    (43, 6, "ab", "triple", None,
-     [(("a", "0", "0"), ("0", "b", "0"), ("0", "0", "b")),
-      (("b", "0", "0"), ("0", "a", "0"), ("0", "0", "b")),
-      (("b", "0", "0"), ("0", "b", "0"), ("0", "0", "a"))]),
-    (44, 6, "ab", "triple", None,
-     [(("0", "0", "0"), ("0", "0", "a"), ("0", "b", "0")),
-      (("0", "0", "b"), ("0", "0", "0"), ("a", "0", "0")),
-      (("0", "a", "0"), ("b", "0", "0"), ("0", "0", "0"))]),
-)
 
 
 class CatalogError(Exception):
@@ -229,20 +95,6 @@ class OrbitFamily:
             t = t.scale(scale)
         return t
 
-    def to_json(self):
-        rec = {
-            "id": self.id,
-            "length": self.length,
-            "params": list(self.params),
-            "power": self.power,
-            "factors": [
-                [[str(p) for p in row] for row in m] for m in self.factors
-            ],
-        }
-        if self.scale is not None:
-            rec["scale"] = str(self.scale)
-        return rec
-
     @classmethod
     def from_json(cls, rec):
         factors = [
@@ -257,28 +109,10 @@ class OrbitFamily:
         return f"<family {self.id}: length {self.length}, params {self.params}>"
 
 
-def _build_families():
-    out = {}
-    for fid, length, params, power, scale, mats in _RAW:
-        factors = [
-            tuple(tuple(parse_polynomial(s) for s in row) for row in m)
-            for m in mats
-        ]
-        out[fid] = OrbitFamily(
-            fid, length, params, power,
-            parse_polynomial(scale) if scale else None, factors,
-        )
-    return out
-
-
-_FAMILIES = None
-
-
+@lru_cache(maxsize=None)
 def all_families():
-    global _FAMILIES
-    if _FAMILIES is None:
-        _FAMILIES = _build_families()
-    return _FAMILIES
+    """The packaged catalog, loaded once; see families_from_json."""
+    return families_from_json()
 
 
 def get_family(fid):
@@ -311,13 +145,6 @@ def matmul_tensor():
     return Tensor(entries)
 
 
-def write_catalog_json(path):
-    recs = [all_families()[fid].to_json() for fid in sorted(all_families())]
-    with open(path, "w") as fh:
-        json.dump({"families": recs}, fh, indent=1)
-        fh.write("\n")
-
-
 def families_from_json():
     """The catalog as shipped in data/catalog.json."""
     text = resources.files("mm3sym").joinpath("data/catalog.json").read_text()
@@ -333,7 +160,7 @@ def verify_catalog(families=None):
     from .tensors import pi12
 
     if families is None:
-        families = families_from_json()
+        families = all_families()
     report = {}
     for fid in sorted(families):
         fam = families[fid]

@@ -12,7 +12,7 @@ only from the diagonal +-1 part.
 from functools import lru_cache
 import re
 
-from .tensors import Tensor
+from .tensors import Tensor, all_indices
 
 __all__ = [
     "GroupElement", "enumerate_group", "phi", "act_on_index",
@@ -193,10 +193,31 @@ def act_on_index(g, alpha):
     return alpha, sign
 
 
+@lru_cache(maxsize=None)
+def _index_codes():
+    """The position of each of the 729 indices, and one shared
+    (index, sign) pair for each index and sign, looked up by any equal
+    pair."""
+    indices = all_indices()
+    codes = {alpha: n for n, alpha in enumerate(indices)}
+    pairs = {(alpha, sign): (alpha, sign) for alpha in indices for sign in (1, -1)}
+    return codes, pairs
+
+
+@lru_cache(maxsize=None)
+def _index_table(g):
+    """act_on_index(g, alpha) for every alpha, by position; the entries
+    are the shared pairs of _index_codes, so a table costs one tuple."""
+    codes, pairs = _index_codes()
+    return tuple(pairs[act_on_index(g, alpha)] for alpha in codes)
+
+
 def act_on_tensor(g, t):
+    codes, _ = _index_codes()
+    table = _index_table(g)
     entries = {}
     for alpha, c in t.entries.items():
-        beta, sign = act_on_index(g, alpha)
+        beta, sign = table[codes[alpha]]
         entries[beta] = c if sign > 0 else -c
     return Tensor(entries)
 

@@ -57,32 +57,24 @@ class OrbitClass:
         return f"<Q{self.id}: {len(self.members)} indices>"
 
 
-def _s3x3_generators():
-    """Index maps generating the S3 x S3 action on F."""
-    def relabel(p):
-        def act(alpha):
-            return tuple((p[i - 1], p[j - 1]) for i, j in alpha)
-        return act
-
-    def pair_cycle(alpha):
-        p1, p2, p3 = alpha
-        return (p3, p1, p2)
-
-    def pair_swap(alpha):
-        (i1, j1), (i2, j2), (i3, j3) = alpha
-        return ((j2, i2), (j1, i1), (j3, i3))
-
-    return [relabel((2, 1, 3)), relabel((2, 3, 1)), pair_cycle, pair_swap]
+# Elements of G whose images under phi generate S3 x S3: two line
+# permutations (signs chosen for determinant 1), then sigma and rho.
+_CLASS_GENERATORS = (
+    group.GroupElement((2, 1, 3), (-1, 1, 1)),
+    group.GroupElement((2, 3, 1)),
+    group.GroupElement(bword="s"),
+    group.GroupElement(bword="r"),
+)
 
 
 @lru_cache(maxsize=None)
 def compute_classes():
-    """Orbits of S3 x S3 on even indices, numbered by the fixed
-    representatives and validated against the expected sizes."""
+    """Orbits of G on even indices, signs ignored (the action factors
+    through S3 x S3), numbered by the fixed representatives and
+    validated against the expected sizes."""
     even = [a for a in all_indices() if index_is_even(a)]
     if len(even) != 183:
         raise ClassTableError(f"expected 183 even indices, found {len(even)}")
-    gens = _s3x3_generators()
     seen = set()
     orbits = []
     for a in even:
@@ -93,8 +85,8 @@ def compute_classes():
         while frontier:
             nxt = []
             for b in frontier:
-                for g in gens:
-                    c = g(b)
+                for g in _CLASS_GENERATORS:
+                    c, _ = group.act_on_index(g, b)
                     if c not in orbit:
                         orbit.add(c)
                         nxt.append(c)

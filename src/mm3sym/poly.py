@@ -339,22 +339,29 @@ class _Parser:
         return tok
 
     def expr(self):
-        sign = 1
+        # one dict for the whole sum, not a copy per term
+        terms = {}
         kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        out = self.term()
-        if sign < 0:
-            out = -out
         while True:
-            kind, val = self.peek()
+            negate = False
             if kind == "op" and val in "+-":
                 self.take()
-                t = self.term()
-                out = out - t if val == "-" else out + t
-            else:
-                return out
+                negate = val == "-"
+            for m, c in self.term().terms.items():
+                if negate:
+                    c = -c
+                s = terms.get(m)
+                if s is None:
+                    terms[m] = c
+                else:
+                    s = s + c
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
+            kind, val = self.peek()
+            if not (kind == "op" and val in "+-"):
+                return Polynomial(terms)
 
     def term(self):
         out = self.factor()

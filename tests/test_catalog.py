@@ -8,7 +8,7 @@ from mm3sym.tensors import Tensor, pi12
 from mm3sym.catalog import (
     all_families, get_family, family_tensor, special_matrix, matmul_tensor,
     verify_catalog, families_from_json, CatalogError,
-    LINEAR_SCALING_FAMILIES, OrbitFamily,
+    LINEAR_SCALING_FAMILIES,
 )
 
 
@@ -81,25 +81,16 @@ def test_linear_scaling_family_set():
     assert LINEAR_SCALING_FAMILIES == frozenset({6, 7, 17, 18, 19, 20, 39, 41})
 
 
-def test_json_roundtrip():
+def test_all_families_is_packaged_catalog():
     fams = all_families()
-    for fid in (1, 8, 24, 44):
-        fam = fams[fid]
-        again = OrbitFamily.from_json(fam.to_json())
-        assert again.id == fam.id
-        assert again.length == fam.length
-        assert again.params == fam.params
-        assert again.power == fam.power
-        assert again.scale == fam.scale
-        assert again.factors == fam.factors
-
-
-def test_packaged_catalog_matches_code():
+    assert all_families() is fams
     packaged = families_from_json()
-    built = all_families()
-    assert sorted(packaged) == sorted(built)
-    for fid in built:
-        assert packaged[fid].tensor() == built[fid].tensor()
+    assert list(fams) == list(range(1, 45))
+    assert list(packaged) == list(fams)
+    for fid, fam in fams.items():
+        assert fam.id == fid
+        assert fam.length == packaged[fid].length
+        assert fam.tensor() == packaged[fid].tensor()
 
 
 def test_verify_catalog_full():

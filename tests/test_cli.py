@@ -148,6 +148,12 @@ def test_error_exit_codes(tmp_path):
     assert code == 3
     code, _ = capture(["act", "--g", "bogus", "--in", "nope.json"])
     assert code == 3
+    # an index entry outside 1..3 is no basis index
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"entries": [{"idx": [[0, 1], [1, 1], [1, 1]], "coeff": "1"}]}')
+    code, _ = capture(["act", "--g", "a=(perm=(231),signs=+--);b=id",
+                       "--in", str(bad)])
+    assert code == 3
     code, _ = capture(["check-solution", "--system", str(tmp_path / "x"),
                        "--assignment", str(tmp_path / "y")])
     assert code == 3

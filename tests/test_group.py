@@ -8,7 +8,7 @@ from mm3sym.group import (
     act_on_index, act_on_tensor, orbit_of, stabilizer_order, phi, perm_sign,
     S3_ELEMENTS,
 )
-from mm3sym.tensors import Tensor, decode_index
+from mm3sym.tensors import Tensor, decode_index, matrix, tensor_from_factors
 from mm3sym.catalog import matmul_tensor
 
 
@@ -129,3 +129,45 @@ def test_sign_sum_kills_non_even_indices():
     for g in G:
         total = total + act_on_tensor(g, Tensor.basis(alpha))
     assert total == Tensor()
+
+
+# -- the action through matrices, apart from act_on_index ------------
+
+def _mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def _transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def _act_on_factors(g, x, y, z):
+    """g (x (x) y (x) z) as a factor triple: the B word rightmost letter
+    first, rho: x,y,z -> y^T,x^T,z^T and sigma: x,y,z -> z,x,y; then each
+    factor conjugated by M = D P with P e_j = e_p(j), D = diag(signs)."""
+    for letter in reversed(g.bword):
+        if letter == "r":
+            x, y, z = _transpose(y), _transpose(x), _transpose(z)
+        else:
+            x, y, z = z, x, y
+    m = [[g.signs[i] if g.perm[j] == i + 1 else 0 for j in range(3)]
+         for i in range(3)]
+    m_inv = _transpose(m)  # M is orthogonal
+    return [_mat_mul(_mat_mul(m, f), m_inv) for f in (x, y, z)]
+
+
+def test_action_matches_matrix_route():
+    rng = random.Random(67)
+
+    def rand_factor():
+        return [[rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(3)]
+                for _ in range(3)]
+
+    for g in enumerate_group("G1"):
+        for _ in range(2):
+            x, y, z = rand_factor(), rand_factor(), rand_factor()
+            t = tensor_from_factors(matrix(x), matrix(y), matrix(z))
+            gx, gy, gz = _act_on_factors(g, x, y, z)
+            assert act_on_tensor(g, t) == tensor_from_factors(
+                matrix(gx), matrix(gy), matrix(gz)), str(g)

@@ -38,17 +38,16 @@ def test_class_table():
 
 
 def test_classes_are_group_stable():
-    # acting by any group element permutes each class into itself up to
-    # sign; on even indices the sign is always +1
-    rng = random.Random(61)
-    G = group.enumerate_group("G")
-    for _ in range(30):
-        g = rng.choice(G)
-        cls = rng.choice(compute_classes())
-        alpha = rng.choice(sorted(cls.members))
-        beta, sign = group.act_on_index(g, alpha)
-        assert sign == 1
-        assert class_of_index(beta) == cls.id
+    # every group element maps each class into itself; on even indices
+    # the sign is always +1
+    for g in group.enumerate_group("G"):
+        for cls in compute_classes():
+            images = set()
+            for alpha in cls.members:
+                beta, sign = group.act_on_index(g, alpha)
+                assert sign == 1
+                images.add(beta)
+            assert images == cls.members
 
 
 def test_gamma_vector_basics():

@@ -127,6 +127,30 @@ def test_parse_grammar():
     assert parse_cyclotomic("3 + 2*i") == IMAG * 2 + 3
 
 
+def test_parse_sum_matches_termwise_sum():
+    # a long sum whose terms repeat and cancel: the parser's one-dict
+    # sum must agree with folding the parsed terms by + and -
+    rng = random.Random(37)
+    for _ in range(20):
+        pieces = []
+        for _ in range(rng.randint(1, 60)):
+            mono = "*".join(f"{v}^{rng.randint(1, 2)}"
+                            for v in rng.sample("abc", rng.randint(0, 2)))
+            coeff = str(rng.randint(1, 3))
+            pieces.append((rng.choice("+-"), f"{coeff}*{mono}" if mono else coeff))
+        text = " ".join(f"{op} {body}" for op, body in pieces)
+        want = Polynomial()
+        for op, body in pieces:
+            t = parse_polynomial(body)
+            want = want - t if op == "-" else want + t
+        got = parse_polynomial(text)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(got.terms.values())
+    assert parse_polynomial("a + b - a + 2*b - 3*b") == Polynomial()
+    assert parse_polynomial("-a + a").terms == {}
+
+
 def test_parse_errors():
     for bad in ("a +", "(a", "a^b", "e11", "2**a", ""):
         with pytest.raises(PolyParseError):
