@@ -170,7 +170,8 @@ def _build_parser():
     o.add_argument("--type", type=int, required=True)
     o.add_argument("--params", help="comma-separated scalar values")
     mode = o.add_mutually_exclusive_group()
-    mode.add_argument("--gamma", action="store_true", default=True)
+    mode.add_argument("--gamma", action="store_true",
+                      help="print gamma coordinates (the default mode)")
     mode.add_argument("--full", action="store_true")
     o.set_defaults(fn=_cmd_orbit_sum)
 

@@ -16,7 +16,8 @@ from .tensors import Tensor, all_indices
 
 __all__ = [
     "GroupElement", "enumerate_group", "phi", "act_on_index",
-    "act_on_tensor", "orbit_of", "stabilizer_order", "compose",
+    "act_on_tensor", "orbit_and_stabilizer", "orbit_of",
+    "stabilizer_order", "compose",
     "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
 
@@ -194,53 +195,107 @@ def act_on_index(g, alpha):
 
 
 @lru_cache(maxsize=None)
-def _index_codes():
-    """The position of each of the 729 indices, and one shared
-    (index, sign) pair for each index and sign, looked up by any equal
-    pair."""
-    indices = all_indices()
-    codes = {alpha: n for n, alpha in enumerate(indices)}
-    pairs = {(alpha, sign): (alpha, sign) for alpha in indices for sign in (1, -1)}
-    return codes, pairs
+def _positions():
+    """The 729 indices in encoded order, the position of each, and one
+    shared (position, sign) pair for each position and sign, looked up
+    by any equal pair."""
+    indices = tuple(all_indices())
+    position = {alpha: n for n, alpha in enumerate(indices)}
+    pairs = {(n, sign): (n, sign) for n in range(729) for sign in (1, -1)}
+    return indices, position, pairs
 
 
 @lru_cache(maxsize=None)
 def _index_table(g):
-    """act_on_index(g, alpha) for every alpha, by position; the entries
-    are the shared pairs of _index_codes, so a table costs one tuple."""
-    codes, pairs = _index_codes()
-    return tuple(pairs[act_on_index(g, alpha)] for alpha in codes)
+    """act_on_index(g, alpha) for every alpha, by position, as
+    (position, sign); the entries are the shared pairs of _positions,
+    so a table costs one tuple."""
+    indices, position, pairs = _positions()
+    table = []
+    for alpha in indices:
+        beta, sign = act_on_index(g, alpha)
+        table.append(pairs[position[beta], sign])
+    return tuple(table)
 
 
 def act_on_tensor(g, t):
-    codes, _ = _index_codes()
+    indices, position, _ = _positions()
     table = _index_table(g)
     entries = {}
     for alpha, c in t.entries.items():
-        beta, sign = table[codes[alpha]]
-        entries[beta] = c if sign > 0 else -c
+        n, sign = table[position[alpha]]
+        entries[indices[n]] = c if sign > 0 else -c
     return Tensor(entries)
 
 
-def orbit_of(t, elements=None):
-    """The set of images {g t : g in G}, deduplicated structurally,
-    in first-seen order over the fixed group enumeration."""
+def orbit_and_stabilizer(t, elements=None):
+    """The orbit {g t : g in G}, deduplicated structurally, in
+    first-seen order over the fixed group enumeration, and the number
+    of elements fixing t, from one pass over the elements.
+
+    Each distinct coefficient of t, and its negation, is interned once
+    as a small int code (0 is an absent entry), so that an image is a
+    tuple of 729 codes by position, hashed and compared without
+    touching a Polynomial.  A Tensor is built only for the images the
+    orbit keeps, with its entries in the order act_on_tensor gives.
+    """
     if elements is None:
         elements = enumerate_group("G")
+    indices, position, _ = _positions()
+    coeffs = [None]   # code -> coefficient
+    code_of = {}      # coefficient -> code
+    negation = [0]    # code -> code of the negated coefficient
+
+    def intern(c):
+        k = code_of.get(c)
+        if k is None:
+            k = code_of[c] = len(coeffs)
+            coeffs.append(c)
+            negation.append(None)
+        return k
+
+    coded = []
+    for alpha, c in t.entries.items():
+        k = intern(c)
+        if negation[k] is None:
+            m = intern(-c)
+            negation[k], negation[m] = m, k
+        coded.append((position[alpha], k))
+    own = [0] * 729
+    for n, k in coded:
+        own[n] = k
+    own = tuple(own)
+
     seen = set()
-    out = []
+    orbit = []
+    order = 0
     for g in elements:
-        u = act_on_tensor(g, t)
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-    return out
+        table = _index_table(g)
+        image = [0] * 729
+        for p, k in coded:
+            n, sign = table[p]
+            image[n] = k if sign > 0 else negation[k]
+        image = tuple(image)
+        if image == own:
+            order += 1
+        if image not in seen:
+            seen.add(image)
+            entries = {}
+            for p, _ in coded:
+                n = table[p][0]
+                entries[indices[n]] = coeffs[image[n]]
+            orbit.append(Tensor(entries))
+    return orbit, order
+
+
+def orbit_of(t, elements=None):
+    """The orbit of t; see orbit_and_stabilizer."""
+    return orbit_and_stabilizer(t, elements)[0]
 
 
 def stabilizer_order(t, elements=None):
-    if elements is None:
-        elements = enumerate_group("G")
-    return sum(1 for g in elements if act_on_tensor(g, t) == t)
+    """The number of elements fixing t; see orbit_and_stabilizer."""
+    return orbit_and_stabilizer(t, elements)[1]
 
 
 def compose(g, h):

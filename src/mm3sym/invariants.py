@@ -10,8 +10,8 @@ with orbit length l is l times the projection.
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
-from .poly import Polynomial
-from .tensors import Tensor, all_indices, index_is_even, encode_index
+from .poly import Polynomial, add_into
+from .tensors import Tensor, all_indices, index_is_even, tensor_sum
 from . import group
 
 __all__ = [
@@ -198,25 +198,25 @@ class GammaVector:
 def r_sum(w, i):
     """Sum of the coefficients of w over the indices of class Q_i."""
     cls = compute_classes()[i - 1]
-    total = Polynomial()
+    terms = {}
     for alpha in cls.members:
         p = w.entries.get(alpha)
         if p is not None:
-            total = total + p
-    return total
+            add_into(terms, p.terms.items())
+    return Polynomial(terms)
 
 
 def project(w):
     """Projection onto the invariant subspace: coordinate i is
     r_i(w)/|Q_i|."""
     lookup = _class_lookup()
-    sums = [Polynomial() for _ in range(12)]
+    sums = [{} for _ in range(12)]
     for alpha, p in w.entries.items():
         cid = lookup.get(alpha)
         if cid is not None:
-            sums[cid - 1] = sums[cid - 1] + p
+            add_into(sums[cid - 1], p.terms.items())
     coords = [
-        s.scale(Cyclotomic.rational(1, CLASS_SIZES[k]))
+        Polynomial(s).scale(Cyclotomic.rational(1, CLASS_SIZES[k]))
         for k, s in enumerate(sums)
     ]
     return GammaVector(coords)
@@ -236,12 +236,10 @@ def orbit_sum(w, length, check=False):
     """
     v = project(w).scale(length)
     if check:
-        total = Tensor()
-        for u in group.orbit_of(w):
-            total = total + u
-        if gamma_to_tensor(v) != total:
+        orbit = group.orbit_of(w)
+        if gamma_to_tensor(v) != tensor_sum(orbit):
             raise OrbitSumMismatch(
-                f"declared length {length}, actual orbit {len(group.orbit_of(w))}"
+                f"declared length {length}, actual orbit {len(orbit)}"
             )
     return v
 
@@ -264,7 +262,5 @@ def reynolds(w):
     class-sum shortcut.
     """
     elements = group.enumerate_group("G")
-    total = Tensor()
-    for g in elements:
-        total = total + group.act_on_tensor(g, w)
+    total = tensor_sum(group.act_on_tensor(g, w) for g in elements)
     return total.scale(Cyclotomic.rational(1, len(elements)))

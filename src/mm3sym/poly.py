@@ -15,7 +15,7 @@ from .cyclotomic import Cyclotomic, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
 
 __all__ = [
     "ParamId", "BrentVar", "Polynomial",
-    "parse_polynomial", "parse_cyclotomic", "var_from_str",
+    "parse_polynomial", "parse_cyclotomic", "var_from_str", "add_into",
 ]
 
 PARAM_LETTERS = "abcdfg"
@@ -77,18 +77,7 @@ class Polynomial:
 
     def __add__(self, other):
         other = Polynomial.coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = s + c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return Polynomial(terms)
+        return Polynomial(add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -240,6 +229,23 @@ class Polynomial:
         return f"<Polynomial {self}>"
 
 
+def add_into(acc, items):
+    """Add (key, coefficient) pairs into the dict acc in place and
+    return it.  A key whose sum cancels is removed, so one dict serves a
+    whole sum and ends in the order that repeated + would give."""
+    for k, c in items:
+        s = acc.get(k)
+        if s is None:
+            acc[k] = c
+        else:
+            s = s + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -347,18 +353,10 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 negate = val == "-"
-            for m, c in self.term().terms.items():
-                if negate:
-                    c = -c
-                s = terms.get(m)
-                if s is None:
-                    terms[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
+            items = self.term().terms.items()
+            if negate:
+                items = [(m, -c) for m, c in items]
+            add_into(terms, items)
             kind, val = self.peek()
             if not (kind == "op" and val in "+-"):
                 return Polynomial(terms)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .poly import Polynomial, ParamId, parse_polynomial
-from .tensors import Tensor, pi12
+from .tensors import Tensor, pi12, tensor_sum
 from .invariants import GammaVector, project, orbit_sum, compute_classes
 from .catalog import all_families, get_family, matmul_tensor
 from . import group
@@ -272,10 +272,7 @@ def check_sign_table(facts=None):
         facts[f"sign_table.diag.{fid}"] = (
             f"family {fid} has no e(ii,jj,kk) entries"
         )
-    total9 = Tensor()
-    for u in group.orbit_of(_fresh(9)):
-        total9 = total9 + u
-    diag9 = _diagonal_part(total9)
+    diag9 = _diagonal_part(tensor_sum(group.orbit_of(_fresh(9))))
     a_cubed = parse_polynomial("4*a^3")
     _require(len(diag9) == 27, "sign_table.diag9.size", str(len(diag9)))
     _require(all(p == a_cubed for _, p in diag9.items()), "sign_table.diag9")

@@ -8,12 +8,12 @@ used to expand decomposable tensors.
 
 import json
 
-from .poly import Polynomial, parse_polynomial
+from .poly import Polynomial, add_into, parse_polynomial
 
 __all__ = [
     "encode_index", "decode_index", "all_indices", "index_is_even",
-    "Tensor", "tensor_from_factors", "matrix", "matrix_from_dict", "pi12",
-    "mat_add", "mat_scale", "mat_transpose",
+    "Tensor", "tensor_sum", "tensor_from_factors", "matrix",
+    "matrix_from_dict", "pi12", "mat_add", "mat_scale", "mat_transpose",
 ]
 
 
@@ -58,15 +58,7 @@ class Tensor:
         return cls({alpha: coeff} if coeff else {})
 
     def __add__(self, other):
-        entries = dict(self.entries)
-        for a, p in other.entries.items():
-            s = entries.get(a)
-            s = p if s is None else s + p
-            if s:
-                entries[a] = s
-            else:
-                entries.pop(a, None)
-        return Tensor(entries)
+        return Tensor(add_into(dict(self.entries), other.entries.items()))
 
     def __neg__(self):
         return Tensor({a: -p for a, p in self.entries.items()})
@@ -146,6 +138,15 @@ class Tensor:
     @classmethod
     def loads(cls, text):
         return cls.from_json(json.loads(text))
+
+
+def tensor_sum(tensors):
+    """The sum of the tensors, added into one dict rather than copied
+    per term."""
+    entries = {}
+    for t in tensors:
+        add_into(entries, t.entries.items())
+    return Tensor(entries)
 
 
 def _idx_str(alpha):

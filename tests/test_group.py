@@ -9,7 +9,7 @@ from mm3sym.group import (
     S3_ELEMENTS,
 )
 from mm3sym.tensors import Tensor, decode_index, matrix, tensor_from_factors
-from mm3sym.catalog import matmul_tensor
+from mm3sym.catalog import all_families, family_tensor, matmul_tensor
 
 
 def rand_tensor(rng, size=5):
@@ -95,6 +95,33 @@ def test_orbit_and_stabilizer():
     for _ in range(5):
         u = rand_tensor(rng, size=2)
         assert len(orbit_of(u)) * stabilizer_order(u) == 144
+
+
+def _action_route(t, elements):
+    """The orbit as the first-seen distinct images act_on_tensor(g, t),
+    and the number of g with act_on_tensor(g, t) == t."""
+    orbit, fixed = [], 0
+    for g in elements:
+        u = act_on_tensor(g, t)
+        fixed += u == t
+        if u not in orbit:
+            orbit.append(u)
+    return orbit, fixed
+
+
+def test_coded_orbit_matches_action_route():
+    cases = [(fam.tensor(), which)
+             for fam in all_families().values() for which in ("G", "G1")]
+    # numeric instances with both c and -c among the coefficients, and
+    # the degenerate instance whose orbit is shorter than its family's
+    for fid, params in ((41, [1, 2]), (17, [3]), (20, [1, -1]),
+                        (23, [1, 2, 3, 4, 5]), (5, [0, 1]), (9, [1, 0])):
+        cases.append((family_tensor(fid, params), "G"))
+    for t, which in cases:
+        elements = enumerate_group(which)
+        orbit, fixed = _action_route(t, elements)
+        assert orbit_of(t, elements) == orbit
+        assert stabilizer_order(t, elements) == fixed
 
 
 def test_element_syntax_roundtrip():
