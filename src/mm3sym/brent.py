@@ -13,7 +13,7 @@ import json
 
 from .cyclotomic import Cyclotomic, ONE
 from .poly import (
-    Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
+    Polynomial, BrentVar, parse_polynomial, parse_cyclotomic,
     var_from_str, PolyParseError,
 )
 from .invariants import orbit_sum
@@ -225,8 +225,8 @@ def parse_system(rec):
     raise BrentError(f"bad system mode: {mode!r}")
 
 
-def _wbasis(c, gen="w"):
-    """A cyclotomic scalar as an expression in the generator alone,
+def _wbasis(c):
+    """A cyclotomic scalar as an expression in the generator ww alone,
     for exports to solvers that know only the minimal polynomial."""
     parts = []
     for k, q in enumerate(c.coords):
@@ -235,7 +235,7 @@ def _wbasis(c, gen="w"):
         if k == 0:
             parts.append(str(q))
         else:
-            mono = gen if k == 1 else f"{gen}^{k}"
+            mono = "ww" if k == 1 else f"ww^{k}"
             if q == 1:
                 parts.append(mono)
             elif q == -1:
@@ -247,12 +247,12 @@ def _wbasis(c, gen="w"):
     return "+".join(parts).replace("+-", "-")
 
 
-def _m2_poly(p, gen="w"):
+def _m2_poly(p):
     parts = []
     for mono, c in sorted(p.terms.items(),
                           key=lambda t: [(v.key(), e) for v, e in t[0]]):
         factors = []
-        cs = _wbasis(c, gen)
+        cs = _wbasis(c)
         if "+" in cs[1:] or "-" in cs[1:]:
             factors.append(f"({cs})")
         elif cs != "1" or not mono:
@@ -284,8 +284,8 @@ def export(system, fmt):
         ]
         body = []
         for eq in system.equations:
-            lhs = _m2_poly(eq.lhs, gen="ww")
-            rhs = _wbasis(eq.rhs, gen="ww")
+            lhs = _m2_poly(eq.lhs)
+            rhs = _wbasis(eq.rhs)
             body.append(f"  ({lhs}) - ({rhs})")
         lines.append(",\n".join(body))
         lines.append(");")

@@ -14,23 +14,17 @@ from importlib import resources
 
 from .cyclotomic import Cyclotomic
 from .poly import Polynomial, ParamId, parse_polynomial
-from .tensors import Tensor, matrix, tensor_from_factors
+from .tensors import Tensor, tensor_from_factors
 
 __all__ = [
     "OrbitFamily", "CatalogError", "get_family", "all_families",
-    "family_tensor", "matmul_tensor", "special_matrix",
+    "family_tensor", "matmul_tensor",
     "LINEAR_SCALING_FAMILIES", "verify_catalog", "families_from_json",
 ]
 
 # Families whose tensor is linear in the parameter array (z' = z in the
 # scaling law); all the others are homogeneous of degree 3.
 LINEAR_SCALING_FAMILIES = frozenset({6, 7, 17, 18, 19, 20, 39, 41})
-
-_DELTA = (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1"))
-_KAPPA = (("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0"))
-_ETA = (("1", "0", "0"), ("0", "z", "0"), ("0", "0", "zb"))
-_ETA_BAR = (("1", "0", "0"), ("0", "zb", "0"), ("0", "0", "z"))
-_TAU = (("0", "1", "-1"), ("-1", "0", "1"), ("1", "-1", "0"))
 
 
 class CatalogError(Exception):
@@ -124,14 +118,6 @@ def get_family(fid):
 
 def family_tensor(fid, params=None, slot=0):
     return get_family(fid).tensor(params, slot)
-
-
-def special_matrix(name):
-    raw = {"delta": _DELTA, "kappa": _KAPPA, "eta": _ETA,
-           "eta_bar": _ETA_BAR, "tau": _TAU}
-    if name not in raw:
-        raise CatalogError(f"no special matrix named {name!r}")
-    return matrix([[parse_polynomial(s) for s in row] for row in raw[name]])
 
 
 def matmul_tensor():

@@ -10,12 +10,11 @@ import argparse
 import json
 import sys
 
-from .cyclotomic import Cyclotomic
 from .poly import parse_cyclotomic, PolyParseError
 from .tensors import Tensor
 from . import group
-from .invariants import compute_classes, orbit_sum, project
-from .catalog import get_family, all_families, CatalogError
+from .invariants import compute_classes, orbit_sum
+from .catalog import get_family, CatalogError
 from . import prover
 from . import brent
 

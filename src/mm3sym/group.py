@@ -16,8 +16,7 @@ from .tensors import Tensor, all_indices
 
 __all__ = [
     "GroupElement", "enumerate_group", "phi", "act_on_index",
-    "act_on_tensor", "orbit_and_stabilizer", "orbit_of",
-    "stabilizer_order", "compose",
+    "act_on_tensor", "orbit_and_stabilizer", "compose",
     "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
 
@@ -286,16 +285,6 @@ def orbit_and_stabilizer(t, elements=None):
                 entries[indices[n]] = coeffs[image[n]]
             orbit.append(Tensor(entries))
     return orbit, order
-
-
-def orbit_of(t, elements=None):
-    """The orbit of t; see orbit_and_stabilizer."""
-    return orbit_and_stabilizer(t, elements)[0]
-
-
-def stabilizer_order(t, elements=None):
-    """The number of elements fixing t; see orbit_and_stabilizer."""
-    return orbit_and_stabilizer(t, elements)[1]
 
 
 def compose(g, h):

@@ -57,16 +57,6 @@ class OrbitClass:
         return f"<Q{self.id}: {len(self.members)} indices>"
 
 
-# Elements of G whose images under phi generate S3 x S3: two line
-# permutations (signs chosen for determinant 1), then sigma and rho.
-_CLASS_GENERATORS = (
-    group.GroupElement((2, 1, 3), (-1, 1, 1)),
-    group.GroupElement((2, 3, 1)),
-    group.GroupElement(bword="s"),
-    group.GroupElement(bword="r"),
-)
-
-
 @lru_cache(maxsize=None)
 def compute_classes():
     """Orbits of G on even indices, signs ignored (the action factors
@@ -75,22 +65,13 @@ def compute_classes():
     even = [a for a in all_indices() if index_is_even(a)]
     if len(even) != 183:
         raise ClassTableError(f"expected 183 even indices, found {len(even)}")
+    elements = group.enumerate_group("G")
     seen = set()
     orbits = []
     for a in even:
         if a in seen:
             continue
-        orbit = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for g in _CLASS_GENERATORS:
-                    c, _ = group.act_on_index(g, b)
-                    if c not in orbit:
-                        orbit.add(c)
-                        nxt.append(c)
-            frontier = nxt
+        orbit = {group.act_on_index(g, a)[0] for g in elements}
         seen |= orbit
         orbits.append(orbit)
     if len(orbits) != 12:
@@ -152,12 +133,6 @@ class GammaVector:
 
     def scale(self, c):
         return GammaVector([p * Polynomial.coerce(c) for p in self.coords])
-
-    def substitute(self, assignment):
-        return GammaVector([p.substitute(assignment) for p in self.coords])
-
-    def map_vars(self, fn):
-        return GammaVector([p.map_vars(fn) for p in self.coords])
 
     def support(self):
         return frozenset(i for i in range(1, 13) if self[i])
@@ -222,26 +197,9 @@ def project(w):
     return GammaVector(coords)
 
 
-class OrbitSumMismatch(Exception):
-    """The formula l*p(w) disagrees with direct orbit summation,
-    signalling a degenerate parameter instance."""
-
-
-def orbit_sum(w, length, check=False):
-    """Sum over the orbit of w, computed as length * project(w).
-
-    With check=True the result is compared against direct summation
-    over the actual orbit; a mismatch means the instance is degenerate
-    (its true orbit is shorter than the declared length).
-    """
-    v = project(w).scale(length)
-    if check:
-        orbit = group.orbit_of(w)
-        if gamma_to_tensor(v) != tensor_sum(orbit):
-            raise OrbitSumMismatch(
-                f"declared length {length}, actual orbit {len(orbit)}"
-            )
-    return v
+def orbit_sum(w, length):
+    """Sum over the orbit of w, computed as length * project(w)."""
+    return project(w).scale(length)
 
 
 def gamma_to_tensor(v):

@@ -18,9 +18,6 @@ __all__ = [
     "parse_polynomial", "parse_cyclotomic", "var_from_str", "add_into",
 ]
 
-PARAM_LETTERS = "abcdfg"
-
-
 class ParamId(NamedTuple):
     slot: int
     letter: str

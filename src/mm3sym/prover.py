@@ -9,15 +9,14 @@ length-18 families, the diagonal-part identities -- are re-derived
 symbolically at run time before any certificate is issued.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .poly import Polynomial, ParamId, parse_polynomial
-from .tensors import Tensor, pi12, tensor_sum
-from .invariants import GammaVector, project, orbit_sum, compute_classes
+from .tensors import Tensor, pi12
+from .invariants import GammaVector, project, orbit_sum, gamma_to_tensor
 from .catalog import all_families, get_family, matmul_tensor
-from . import group
 
 __all__ = [
     "ProofError", "EliminationCertificate",
@@ -272,7 +271,8 @@ def check_sign_table(facts=None):
         facts[f"sign_table.diag.{fid}"] = (
             f"family {fid} has no e(ii,jj,kk) entries"
         )
-    diag9 = _diagonal_part(tensor_sum(group.orbit_of(_fresh(9))))
+    # the 27 indices e(ii,jj,kk) make up Q1, Q2 and Q6
+    diag9 = _diagonal_part(gamma_to_tensor(table[9]))
     a_cubed = parse_polynomial("4*a^3")
     _require(len(diag9) == 27, "sign_table.diag9.size", str(len(diag9)))
     _require(all(p == a_cubed for _, p in diag9.items()), "sign_table.diag9")

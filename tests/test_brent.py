@@ -82,7 +82,7 @@ def test_trivial_decomposition_orbit_structure():
     orbits = []
     left = list(terms)
     while left:
-        orb = set(group.orbit_of(left[0]))
+        orb = set(group.orbit_and_stabilizer(left[0])[0])
         assert orb <= set(terms)
         left = [t for t in left if t not in orb]
         orbits.append(len(orb))

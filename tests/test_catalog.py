@@ -6,7 +6,7 @@ from mm3sym import group
 from mm3sym.poly import ParamId, parse_polynomial
 from mm3sym.tensors import Tensor, pi12
 from mm3sym.catalog import (
-    all_families, get_family, family_tensor, special_matrix, matmul_tensor,
+    all_families, get_family, family_tensor, matmul_tensor,
     verify_catalog, families_from_json, CatalogError,
     LINEAR_SCALING_FAMILIES,
 )
@@ -25,15 +25,6 @@ def test_lengths_total_structure():
     assert lengths == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
     short = {fid: f.length for fid, f in all_families().items() if f.length <= 5}
     assert short == {5: 3, 6: 2, 7: 1, 9: 4}
-
-
-def test_special_matrices():
-    delta = special_matrix("delta")
-    assert delta[0][0] == parse_polynomial("1")
-    eta = special_matrix("eta")
-    assert eta != delta
-    with pytest.raises(CatalogError):
-        special_matrix("nope")
 
 
 def test_matmul_tensor():
@@ -66,7 +57,7 @@ def test_orbit_lengths_spot_check():
     rng = random.Random(89)
     for fid in rng.sample(range(1, 45), 6):
         fam = get_family(fid)
-        assert len(group.orbit_of(fam.tensor())) == fam.length
+        assert len(group.orbit_and_stabilizer(fam.tensor())[0]) == fam.length
 
 
 def test_pi12_symmetry_of_symmetric_powers():

@@ -5,7 +5,7 @@ import pytest
 from mm3sym import group
 from mm3sym.group import (
     GroupElement, enumerate_group, parse_element, identity, compose,
-    act_on_index, act_on_tensor, orbit_of, stabilizer_order, phi, perm_sign,
+    act_on_index, act_on_tensor, orbit_and_stabilizer, phi, perm_sign,
     S3_ELEMENTS,
 )
 from mm3sym.tensors import Tensor, decode_index, matrix, tensor_from_factors
@@ -89,12 +89,13 @@ def test_target_tensor_invariant():
 
 def test_orbit_and_stabilizer():
     t = Tensor.basis(((1, 1), (1, 1), (1, 1)))
-    orbit = orbit_of(t)
-    assert len(orbit) * stabilizer_order(t) % 144 == 0
+    orbit, stabilizer = orbit_and_stabilizer(t)
+    assert len(orbit) * stabilizer % 144 == 0
     rng = random.Random(59)
     for _ in range(5):
         u = rand_tensor(rng, size=2)
-        assert len(orbit_of(u)) * stabilizer_order(u) == 144
+        orbit, stabilizer = orbit_and_stabilizer(u)
+        assert len(orbit) * stabilizer == 144
 
 
 def _action_route(t, elements):
@@ -120,8 +121,7 @@ def test_coded_orbit_matches_action_route():
     for t, which in cases:
         elements = enumerate_group(which)
         orbit, fixed = _action_route(t, elements)
-        assert orbit_of(t, elements) == orbit
-        assert stabilizer_order(t, elements) == fixed
+        assert orbit_and_stabilizer(t, elements) == (orbit, fixed)
 
 
 def test_element_syntax_roundtrip():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mm3sym.cyclotomic import Cyclotomic
-from mm3sym.invariants import orbit_sum, GammaVector
+from mm3sym.group import orbit_and_stabilizer
+from mm3sym.invariants import orbit_sum, GammaVector, gamma_to_tensor
+from mm3sym.tensors import tensor_sum
 from mm3sym.catalog import all_families, get_family
 from mm3sym import prover
 
@@ -65,6 +67,15 @@ def test_sign_table_family32_gamma10_recomputed():
     assert table[32][10] == parse_polynomial("-2*a^2*d + 4*a*b*d")
     assert table[32][10] != parse_polynomial("2*a^2*d + 4*a*b*d")
     assert table[24][10] == parse_polynomial("2*a^2*d + 4*a*b*d")
+
+
+def test_gamma_table_matches_direct_orbit_sums():
+    # the proof reads every orbit sum from the gamma table, l*p(w);
+    # here each row is summed again over the family's actual orbit
+    table = prover.gamma_table()
+    for fid, fam in sorted(all_families().items()):
+        orbit = orbit_and_stabilizer(fam.tensor())[0]
+        assert gamma_to_tensor(table[fid]) == tensor_sum(orbit), fid
 
 
 def test_verify_theorem():
