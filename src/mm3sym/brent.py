@@ -13,10 +13,10 @@ import json
 
 from .cyclotomic import Cyclotomic, ONE
 from .poly import (
-    Polynomial, BrentVar, parse_polynomial, parse_cyclotomic,
-    var_from_str, PolyParseError,
+    Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
+    var_from_str, add_into, PolyParseError,
 )
-from .invariants import orbit_sum
+from .prover import gamma_row
 from .catalog import get_family, matmul_tensor
 
 __all__ = [
@@ -113,21 +113,24 @@ def generic_system(rank):
 def invariant_system(multiset):
     """12 equations stating that the orbit sums of the multiset, with
     fresh parameters per slot, add up to the target's invariant
-    coordinates (1 at gamma_1, gamma_3, gamma_9; 0 elsewhere)."""
+    coordinates (1 at gamma_1, gamma_3, gamma_9; 0 elsewhere).  Each
+    entry's orbit sum is its family's gamma-table row with the
+    parameters renamed into the entry's slot."""
     multiset = tuple(multiset)
     if not multiset:
         raise BrentError("multiset must be nonempty")
     variables = []
-    total = None
+    sums = [{} for _ in range(12)]
     for slot, fid in enumerate(multiset, start=1):
         fam = get_family(fid)
         variables.extend(fam.param_ids(slot))
-        v = orbit_sum(fam.tensor(slot=slot), fam.length)
-        total = v if total is None else total + v
-    equations = []
-    for m in range(1, 13):
-        rhs = 1 if m in (1, 3, 9) else 0
-        equations.append(Equation(m, total[m], rhs))
+        rename = lambda v: ParamId(slot, v.letter)
+        for acc, p in zip(sums, gamma_row(fid).coords):
+            add_into(acc, p.map_vars(rename).terms.items())
+    equations = [
+        Equation(m, Polynomial(sums[m - 1]), 1 if m in (1, 3, 9) else 0)
+        for m in range(1, 13)
+    ]
     return BrentSystem("invariant", variables, equations, multiset=multiset)
 
 

@@ -42,8 +42,16 @@ class BrentVar(NamedTuple):
         return f"{'xyz'[self.factor]}{self.term}_{self.row}{self.col}"
 
 
+_UNSET = object()
+
+
 def _var_key(v):
     return v.key()
+
+
+def _item_key(pair):
+    """Sort key of a (variable, exponent) pair within a monomial."""
+    return pair[0].key()
 
 
 class Polynomial:
@@ -132,34 +140,29 @@ class Polynomial:
     def substitute(self, assignment):
         """Replace the given variables by Cyclotomic values, leaving
         the rest symbolic."""
-        terms = {}
+        return Polynomial(add_into({}, self._substituted(assignment)))
+
+    def _substituted(self, assignment):
+        # a monomial stops at its first zero factor: its term drops out
         for m, c in self.terms.items():
-            coeff = c
             rest = []
             for v, e in m:
-                if v in assignment:
-                    coeff = coeff * Cyclotomic.coerce(assignment[v]) ** e
-                else:
+                x = assignment.get(v, _UNSET)
+                if x is _UNSET:
                     rest.append((v, e))
-            if not coeff:
-                continue
-            rest = tuple(rest)
-            s = terms.get(rest)
-            if s is None:
-                terms[rest] = coeff
+                    continue
+                x = Cyclotomic.coerce(x)
+                if not x:
+                    break
+                c = c * (x if e == 1 else x ** e)
             else:
-                s = s + coeff
-                if s:
-                    terms[rest] = s
-                else:
-                    del terms[rest]
-        return Polynomial(terms)
+                yield tuple(rest), c
 
     def map_vars(self, fn):
         """Rename variables via fn (must stay injective on each monomial)."""
         terms = {}
         for m, c in self.terms.items():
-            m2 = tuple(sorted(((fn(v), e) for v, e in m), key=lambda p: _var_key(p[0])))
+            m2 = tuple(sorted(((fn(v), e) for v, e in m), key=_item_key))
             assert m2 not in terms, "variable renaming collision"
             terms[m2] = c
         return Polynomial(terms)
@@ -251,7 +254,7 @@ def _mono_mul(m1, m2):
     exps = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: _var_key(p[0])))
+    return tuple(sorted(exps.items(), key=_item_key))
 
 
 def _mono_str(m):
@@ -288,14 +291,20 @@ _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>\d+(?:/\d+)?)"
     r"|(?P<brent>[xyz]\d+_\d\d)"
-    r"|(?P<zb>zb)"
-    r"|(?P<const>[ziw])"
+    r"|(?P<const>zb|[ziw])"
     r"|(?P<param>[abcdfg]\d*)"
     r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
-_CONSTS = {"z": ZETA, "zb": ZETA_BAR, "i": IMAG, "w": ROOT12}
+# token text -> (kind, value) for the fixed tokens; variable names are
+# added as they are first seen, so each name is resolved once
+_TOKENS = {op: (op, op) for op in "-+*^()"}
+_TOKENS.update(
+    (name, ("const", c))
+    for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
+_END = (None, None)
 
 
 class PolyParseError(ValueError):
@@ -303,108 +312,146 @@ class PolyParseError(ValueError):
 
 
 def _tokenize(text):
-    pos = 0
+    """One regex pass; the tokens end with the _END sentinel."""
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise PolyParseError(f"bad token at {text[pos:]!r}")
-        pos = m.end()
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
+        val = m[kind]
+        tok = _TOKENS.get(val)
+        if tok is None:
+            if kind == "number":
+                tok = (kind, val)
+            elif kind == "bad":
+                raise PolyParseError(f"bad token at {text[m.start():]!r}")
+            else:
+                var = _brent_var(val) if kind == "brent" else _param_var(val)
+                tok = _TOKENS[val] = ("var", var)
+        append(tok)
+    append(_END)
     return tokens
 
 
+def _brent_var(s):
+    return BrentVar("xyz".index(s[0]), int(s[1:-3]), int(s[-2]), int(s[-1]))
+
+
+def _param_var(s):
+    return ParamId(int(s[1:] or 0), s[0])
+
+
+_VAR_RE = re.compile(r"(?P<brent>[xyz]\d+_\d\d)|(?P<param>[abcdfg]\d*)")
+
+
 def var_from_str(s):
-    if re.fullmatch(r"[xyz]\d+_\d\d", s):
-        factor = "xyz".index(s[0])
-        term, rc = s[1:].split("_")
-        return BrentVar(factor, int(term), int(rc[0]), int(rc[1]))
-    m = re.fullmatch(r"([abcdfg])(\d*)", s)
+    m = _VAR_RE.fullmatch(s)
     if m is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return ParamId(int(m.group(2) or 0), m.group(1))
+    return _brent_var(s) if m.lastgroup == "brent" else _param_var(s)
+
+
+def _number(val):
+    if "/" in val:
+        p, q = val.split("/")
+        return Cyclotomic.rational(int(p), int(q))
+    return Cyclotomic.coerce(int(val))
 
 
 class _Parser:
+    """Recursive descent over the token list:
+
+        expr   := [+|-] term {(+|-) term}
+        term   := factor {* factor}
+        factor := {-} atom [^ integer]
+        atom   := number | z | zb | i | w | variable | ( expr )
+
+    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2."""
+
+    __slots__ = ("tokens", "pos")
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
     def expr(self):
-        # one dict for the whole sum, not a copy per term
+        """The term dict of a sum: one dict, not a copy per term."""
+        tokens = self.tokens
         terms = {}
-        kind, val = self.peek()
+        kind = tokens[self.pos][0]
         while True:
-            negate = False
-            if kind == "op" and val in "+-":
-                self.take()
-                negate = val == "-"
-            items = self.term().terms.items()
+            negate = kind == "-"
+            if negate or kind == "+":
+                self.pos += 1
+            items = self.term()
             if negate:
                 items = [(m, -c) for m, c in items]
             add_into(terms, items)
-            kind, val = self.peek()
-            if not (kind == "op" and val in "+-"):
-                return Polynomial(terms)
+            kind = tokens[self.pos][0]
+            if kind != "+" and kind != "-":
+                return terms
 
     def term(self):
-        out = self.factor()
+        """The (monomial, coefficient) items of a product.  Numbers,
+        constants and variables fold into one coefficient and one
+        exponent map; only a parenthesised factor is multiplied as a
+        Polynomial."""
+        tokens = self.tokens
+        coeff = ONE
+        exps = {}
+        polys = []
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                out = out * self.factor()
+            kind, val = tokens[self.pos]
+            self.pos += 1
+            negate = False
+            while kind == "-":
+                negate = not negate
+                kind, val = tokens[self.pos]
+                self.pos += 1
+            if kind == "(":
+                val = self.expr()
+                if tokens[self.pos][0] != ")":
+                    raise PolyParseError("missing closing parenthesis")
+                self.pos += 1
+            elif kind == "number":
+                kind, val = "const", _number(val)
+            elif kind != "var" and kind != "const":
+                raise PolyParseError(f"unexpected token {val!r}")
+            e = 1
+            if tokens[self.pos][0] == "^":
+                kind_e, val_e = tokens[self.pos + 1]
+                self.pos += 2
+                if kind_e != "number" or "/" in val_e:
+                    raise PolyParseError("exponent must be an integer")
+                e = int(val_e)
+            if negate and e & 1:
+                coeff = -coeff
+            if kind == "var":
+                if e:
+                    exps[val] = exps.get(val, 0) + e
+            elif kind == "(":
+                p = Polynomial(val)
+                polys.append(p if e == 1 else p ** e)
             else:
-                return out
-
-    def factor(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val = self.take()
-            if kind != "number" or "/" in val:
-                raise PolyParseError("exponent must be an integer")
-            return base ** int(val)
-        return base
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "number":
-            if "/" in val:
-                p, q = val.split("/")
-                return Polynomial.constant(Cyclotomic.rational(int(p), int(q)))
-            return Polynomial.constant(int(val))
-        if kind in ("zb", "const"):
-            return Polynomial.constant(_CONSTS[val])
-        if kind in ("param", "brent"):
-            return Polynomial.variable(var_from_str(val))
-        if kind == "op" and val == "(":
-            out = self.expr()
-            kind, val = self.take()
-            if (kind, val) != ("op", ")"):
-                raise PolyParseError("missing closing parenthesis")
-            return out
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise PolyParseError(f"unexpected token {val!r}")
+                coeff = coeff * (val if e == 1 else val ** e)
+            if tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        if not coeff:
+            return ()
+        mono = tuple(sorted(exps.items(), key=_item_key)) if exps else ()
+        if not polys:
+            return ((mono, coeff),)
+        out = Polynomial({mono: coeff})
+        for p in polys:
+            out = out * p
+        return out.terms.items()
 
 
 def parse_polynomial(text):
-    parser = _Parser(_tokenize(text))
-    out = parser.expr()
-    if parser.pos != len(parser.tokens):
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
+    out = Polynomial(parser.expr())
+    if parser.pos != len(tokens) - 1:
         raise PolyParseError(f"trailing input in {text!r}")
     return out
 

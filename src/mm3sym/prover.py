@@ -22,7 +22,7 @@ __all__ = [
     "ProofError", "EliminationCertificate",
     "REDUCIBLE", "GAMMA_9_12", "DIAGONAL_OR_GAMMA_TABLE", "E_11_12_21",
     "GAMMA_3_EQ_5", "RULES",
-    "gamma_table", "enumerate_multisets", "multiset_length",
+    "gamma_table", "gamma_row", "enumerate_multisets", "multiset_length",
     "check_replacement", "check_gamma9_12", "check_sign_table", "check_e_class",
     "check_final", "verify_theorem", "TheoremReport",
 ]
@@ -93,10 +93,15 @@ class TheoremReport:
 def gamma_table():
     """Orbit-sum gamma coordinates for every family, as polynomials in
     its fresh slot-0 parameters."""
-    return {
-        fid: orbit_sum(fam.tensor(), fam.length)
-        for fid, fam in all_families().items()
-    }
+    return {fid: gamma_row(fid) for fid in all_families()}
+
+
+@lru_cache(maxsize=None)
+def gamma_row(fid):
+    """One family's row of gamma_table(), built on its own, so that a
+    caller needing a few families does not project all 44."""
+    fam = get_family(fid)
+    return orbit_sum(fam.tensor(), fam.length)
 
 
 @lru_cache(maxsize=None)

@@ -78,17 +78,6 @@ class Tensor:
     def coeff(self, alpha):
         return self.entries.get(alpha, Polynomial())
 
-    def substitute(self, assignment):
-        entries = {}
-        for a, p in self.entries.items():
-            q = p.substitute(assignment)
-            if q:
-                entries[a] = q
-        return Tensor(entries)
-
-    def map_vars(self, fn):
-        return Tensor({a: p.map_vars(fn) for a, p in self.entries.items()})
-
     def __bool__(self):
         return bool(self.entries)
 

@@ -8,7 +8,8 @@ from mm3sym import brent, group
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import Tensor, matrix_from_dict, tensor_from_factors
-from mm3sym.catalog import matmul_tensor, get_family
+from mm3sym.catalog import all_families, matmul_tensor, get_family
+from mm3sym.invariants import orbit_sum
 from mm3sym.prover import enumerate_multisets
 
 DATA = Path(__file__).parent / "data"
@@ -142,6 +143,22 @@ def test_invariant_structure():
         parse_polynomial("4*b2^3")
 
 
+def test_invariant_system_matches_slot_tensors():
+    # the gamma-table route against projecting each entry's slot tensor
+    def direct(multiset):
+        total = None
+        for slot, fid in enumerate(multiset, start=1):
+            fam = get_family(fid)
+            v = orbit_sum(fam.tensor(slot=slot), fam.length)
+            total = v if total is None else total + v
+        return [total[m] for m in range(1, 13)]
+
+    multisets = [(fid, fid) for fid in sorted(all_families())] + [(9, 9, 5)]
+    for multiset in multisets:
+        s = brent.invariant_system(multiset)
+        assert [eq.lhs for eq in s.equations] == direct(multiset), multiset
+
+
 def test_single_family_inconsistency_visible():
     # type {7} alone: the g1 and g2 equations force a = 1 and a = 0
     s = brent.invariant_system((7,))
@@ -160,6 +177,9 @@ def test_json_roundtrip():
         blob = brent.export(s, "json")
         assert brent.parse_system(blob) == s
         assert brent.export(brent.parse_system(blob), "json") == blob
+    # the rank-27 system that check-solution reads
+    blob = brent.export(brent.generic_system(27), "json")
+    assert brent.export(brent.parse_system(blob), "json") == blob
     with pytest.raises(brent.BrentError):
         brent.parse_system("{}")
     with pytest.raises(brent.BrentError):

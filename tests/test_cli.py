@@ -157,6 +157,16 @@ def test_error_exit_codes(tmp_path):
     code, _ = capture(["check-solution", "--system", str(tmp_path / "x"),
                        "--assignment", str(tmp_path / "y")])
     assert code == 3
+    # a system whose polynomial does not parse
+    rec = brent.to_json(brent.generic_system(1))
+    rec["equations"][5]["lhs"] = "x1_11*y1_1"
+    system = tmp_path / "malformed.json"
+    system.write_text(json.dumps(rec))
+    assignment = tmp_path / "zero.json"
+    assignment.write_text(json.dumps({v: "0" for v in rec["variables"]}))
+    code, _ = capture(["check-solution", "--system", str(system),
+                       "--assignment", str(assignment)])
+    assert code == 3
     code, _ = capture(["frobnicate"])
     assert code == 2
     code, _ = capture(["orbit-sum"])

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mm3sym.cyclotomic import Cyclotomic, ZETA, IMAG
+from mm3sym.cyclotomic import Cyclotomic, ZETA, ZETA_BAR, IMAG, ROOT12
 from mm3sym.poly import (
     Polynomial, ParamId, BrentVar, parse_polynomial, parse_cyclotomic,
     var_from_str, PolyParseError,
@@ -125,6 +126,14 @@ def test_parse_grammar():
     assert parse_polynomial("1/2*a") == parse_polynomial("a").scale(
         Cyclotomic.rational(1, 2))
     assert parse_cyclotomic("3 + 2*i") == IMAG * 2 + 3
+    # a leading sign negates its whole term; a minus after * or after
+    # another sign is part of the atom, so it binds tighter than ^
+    assert parse_polynomial("-a^2") == -parse_polynomial("a^2")
+    assert parse_polynomial("2*-a^3") == parse_polynomial("-2*a^3")
+    assert parse_polynomial("2*-a^2") == parse_polynomial("2*a^2")
+    assert parse_polynomial("- -a^2") == -parse_polynomial("a^2")
+    assert parse_polynomial("a^0*b*a^2*a") == parse_polynomial("b*a^3")
+    assert parse_polynomial("0^0 + 0*a + (a - a)^0") == Polynomial.constant(2)
 
 
 def test_parse_sum_matches_termwise_sum():
@@ -152,7 +161,8 @@ def test_parse_sum_matches_termwise_sum():
 
 
 def test_parse_errors():
-    for bad in ("a +", "(a", "a^b", "e11", "2**a", ""):
+    for bad in ("a +", "(a", "a^b", "e11", "2**a", "", "x1_1", "a^1/2",
+                "a)", "1 2", "a^", "@", "-"):
         with pytest.raises(PolyParseError):
             parse_polynomial(bad)
     with pytest.raises(PolyParseError):
@@ -170,3 +180,80 @@ def test_degree_and_variables():
     p = parse_polynomial("a^2*b + x3_12")
     assert p.total_degree() == 3
     assert p.variables() == [A, B, X]
+
+
+# -- the parser against the same expression built with operators ------
+
+_LEAVES = [
+    ("a", Polynomial.variable(A)),
+    ("b", Polynomial.variable(B)),
+    ("a2", Polynomial.variable(ParamId(2, "a"))),
+    ("g13", Polynomial.variable(ParamId(13, "g"))),
+    ("x3_12", Polynomial.variable(X)),
+    ("y27_33", Polynomial.variable(BrentVar(1, 27, 3, 3))),
+    ("z1_21", Polynomial.variable(BrentVar(2, 1, 2, 1))),
+    ("z", Polynomial.constant(ZETA)),
+    ("zb", Polynomial.constant(ZETA_BAR)),
+    ("i", Polynomial.constant(IMAG)),
+    ("w", Polynomial.constant(ROOT12)),
+]
+
+# an expression is (text, precedence, polynomial); precedence 0 is a
+# sum, 1 a product or a negated factor, 2 a power, 3 an atom
+_numbers = st.builds(
+    lambda p, q: (f"{p}/{q}", 3, Polynomial.constant(Cyclotomic.rational(p, q)))
+    if q > 1 else (str(p), 3, Polynomial.constant(p)),
+    st.integers(0, 12), st.integers(1, 5))
+_atoms = _numbers | st.sampled_from(_LEAVES).map(lambda t: (t[0], 3, t[1]))
+
+
+def _wrap(expr, prec):
+    text, p, _ = expr
+    return text if p >= prec else f"({text})"
+
+
+def _grow(children):
+    paren = children.map(lambda e: (f"({e[0]})", 3, e[2]))
+    power = st.builds(
+        lambda e, n: (f"{_wrap(e, 3)}^{n}", 2, e[2] ** n),
+        children, st.integers(0, 3))
+    neg = children.map(lambda e: (f"-{_wrap(e, 3)}", 1, -e[2]))
+    product = st.lists(children, min_size=2, max_size=4).map(
+        lambda es: ("*".join(_wrap(e, 1) for e in es), 1,
+                    _product(e[2] for e in es)))
+    total = st.lists(st.tuples(st.sampled_from("+-"), children),
+                     min_size=1, max_size=4).map(_sum)
+    return paren | power | neg | product | total
+
+
+def _product(polys):
+    out = Polynomial.constant(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+def _sum(signed):
+    text, value = "", Polynomial()
+    for k, (sign, e) in enumerate(signed):
+        body = _wrap(e, 1)
+        if sign == "-":
+            text += f"- {body}" if k == 0 else f" - {body}"
+            value = value - e[2]
+        else:
+            text += body if k == 0 else f" + {body}"
+            value = value + e[2]
+    return text, 0, value
+
+
+expressions = st.recursive(_atoms, _grow, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_parse_matches_operator_build(expr):
+    text, _, value = expr
+    got = parse_polynomial(text)
+    assert got == value
+    assert all(got.terms.values())
+    assert parse_polynomial(str(got)) == got

@@ -1,6 +1,6 @@
 import random
 
-from mm3sym.poly import Polynomial, ParamId, parse_polynomial
+from mm3sym.poly import Polynomial, parse_polynomial
 from mm3sym.tensors import (
     encode_index, decode_index, all_indices, index_is_even,
     Tensor, tensor_from_factors, matrix, matrix_from_dict, pi12,
@@ -74,15 +74,6 @@ def test_pi12():
         assert pi12(pi12(t)) == t
     t = Tensor.basis(((1, 2), (3, 1), (2, 3)), 5)
     assert pi12(t) == Tensor.basis(((3, 1), (1, 2), (2, 3)), 5)
-
-
-def test_substitute_and_map_vars():
-    a = ParamId(0, "a")
-    t = Tensor.basis(((1, 1), (2, 2), (3, 3)), parse_polynomial("a^2"))
-    assert t.substitute({a: 0}) == Tensor()
-    assert t.substitute({a: 2}) == Tensor.basis(((1, 1), (2, 2), (3, 3)), 4)
-    renamed = t.map_vars(lambda v: ParamId(3, v.letter))
-    assert renamed.coeff(((1, 1), (2, 2), (3, 3))) == parse_polynomial("a3^2")
 
 
 def test_json_roundtrip():
