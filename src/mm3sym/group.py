@@ -3,10 +3,12 @@
 A is the group of monomial 3x3 matrices with entries +-1 and
 determinant 1 (isomorphic to S4); A1 drops the determinant condition.
 B = <rho, sigma> is isomorphic to S3 and permutes the tensor factors,
-transposing the matrices when the permutation is odd.  Elements act on
-standard basis tensors by permuting indices up to sign: the permutation
-part factors through the quotient map onto S3 x S3 and the sign comes
-only from the diagonal +-1 part.
+transposing the matrices when the permutation is odd.  An element is
+stored as (perm, signs, bperm): the line permutation and the diagonal
++-1 part of its matrix, and its factor permutation.  It acts on
+standard basis indices by one closed formula: the target index depends
+only on the image (perm, bperm) in S3 x S3 and the sign only on the
+signs, so 36 position tables and 8 sign vectors serve every element.
 """
 
 from functools import lru_cache
@@ -28,6 +30,14 @@ S3_ELEMENTS = (
 RHO_PERM = (2, 1, 3)     # image of rho in S3
 SIGMA_PERM = (2, 3, 1)   # image of sigma in S3: 1->2->3->1 as factor shift
 
+# the canonical word over r = rho, s = sigma of each factor permutation,
+# in enumeration order; a word's permutation is the product of its
+# letters' permutations, left to right
+_B_WORDS = {
+    (1, 2, 3): "", (2, 1, 3): "r", (1, 3, 2): "rs",
+    (2, 3, 1): "s", (3, 2, 1): "sr", (3, 1, 2): "ss",
+}
+
 
 def perm_mul(p, q):
     """(p*q)(k) = p(q(k))."""
@@ -35,54 +45,26 @@ def perm_mul(p, q):
 
 
 def perm_sign(p):
-    sign = 1
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
-def _b_words():
-    """Canonical words over generators r=rho, s=sigma, one per S3 element."""
-    words = {(1, 2, 3): ""}
-    frontier = [(1, 2, 3)]
-    gens = (("r", RHO_PERM), ("s", SIGMA_PERM))
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for letter, g in gens:
-                q = perm_mul(p, g)
-                if q not in words:
-                    words[q] = words[p] + letter
-                    nxt.append(q)
-        frontier = nxt
-    return words
-
-
-_B_WORD_OF_PERM = _b_words()
-_B_PERM_OF_WORD = {w: p for p, w in _B_WORD_OF_PERM.items()}
-
-
-def b_perm(word):
-    """S3 image of a word in {r, s}."""
-    p = (1, 2, 3)
-    for letter in word:
-        p = perm_mul(p, RHO_PERM if letter == "r" else SIGMA_PERM)
-    return p
+    """The Vandermonde quotient prod_{a<b} (p(b) - p(a)) / (b - a)."""
+    return (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) // 2
 
 
 class GroupElement:
     """Element of G1 = A1 x B: a signed permutation matrix times a
-    factor permutation, in canonical form."""
+    factor permutation."""
 
-    __slots__ = ("perm", "signs", "bword")
+    __slots__ = ("perm", "signs", "bperm")
 
-    def __init__(self, perm=(1, 2, 3), signs=(1, 1, 1), bword=""):
-        assert bword in _B_PERM_OF_WORD, bword
+    def __init__(self, perm=(1, 2, 3), signs=(1, 1, 1), bperm=(1, 2, 3)):
         self.perm = tuple(perm)
         self.signs = tuple(signs)
-        self.bword = bword
+        self.bperm = tuple(bperm)
+        assert self.bperm in _B_WORDS, bperm
+
+    @property
+    def bword(self):
+        """The factor permutation as a word in r = rho, s = sigma."""
+        return _B_WORDS[self.bperm]
 
     def det(self):
         return perm_sign(self.perm) * self.signs[0] * self.signs[1] * self.signs[2]
@@ -123,20 +105,17 @@ def parse_element(text):
     if sorted(perm) != [1, 2, 3]:
         raise ValueError(f"bad permutation in {text!r}")
     signs = tuple(1 if c == "+" else -1 for c in m.group(2))
+    bperm = (1, 2, 3)
     bpart = m.group(3)
-    if bpart == "id":
-        word = ""
-    else:
-        word = ""
+    if bpart != "id":
         for name in bpart.split("*"):
             if name == "rho":
-                word += "r"
+                bperm = perm_mul(bperm, RHO_PERM)
             elif name == "sigma":
-                word += "s"
+                bperm = perm_mul(bperm, SIGMA_PERM)
             else:
                 raise ValueError(f"bad factor permutation {name!r}")
-        word = _B_WORD_OF_PERM[b_perm(word)]
-    return GroupElement(perm, signs, word)
+    return GroupElement(perm, signs, bperm)
 
 
 @lru_cache(maxsize=None)
@@ -154,76 +133,69 @@ def enumerate_group(which="G"):
             g0 = GroupElement(perm, signs)
             if which == "G" and g0.det() != 1:
                 continue
-            for word in sorted(_B_PERM_OF_WORD):
-                out.append(GroupElement(perm, signs, word))
+            for bperm in _B_WORDS:
+                out.append(GroupElement(perm, signs, bperm))
     return tuple(out)
 
 
 def phi(g):
     """Quotient map onto S3 x S3: the line permutation of the matrix
     part and the factor permutation of the B part."""
-    return (g.perm, b_perm(g.bword))
-
-
-def _sigma_idx(alpha):
-    p1, p2, p3 = alpha
-    return (p3, p1, p2)
-
-
-def _rho_idx(alpha):
-    (i1, j1), (i2, j2), (i3, j3) = alpha
-    return ((j2, i2), (j1, i1), (j3, i3))
+    return (g.perm, g.bperm)
 
 
 def act_on_index(g, alpha):
     """Image of the basis index and the sign: g e_alpha = sign * e_beta.
 
-    The B part is applied generator by generator, then the permutation
-    matrix relabels both components of each pair, and the diagonal
-    sign part contributes the product of its signs over the six
-    components of the final index.
+    Pair k of alpha moves to place bperm(k) and is transposed when bperm
+    is odd, perm relabels both components of each pair, and the sign is
+    the product of the signs over the six components of beta.
     """
-    for letter in reversed(g.bword):
-        alpha = _rho_idx(alpha) if letter == "r" else _sigma_idx(alpha)
     p = g.perm
-    alpha = tuple((p[i - 1], p[j - 1]) for i, j in alpha)
+    odd = perm_sign(g.bperm) < 0
+    beta = [None, None, None]
+    for (i, j), place in zip(alpha, g.bperm):
+        if odd:
+            i, j = j, i
+        beta[place - 1] = (p[i - 1], p[j - 1])
     sign = 1
-    for i, j in alpha:
+    for i, j in beta:
         sign *= g.signs[i - 1] * g.signs[j - 1]
-    return alpha, sign
+    return tuple(beta), sign
 
 
 @lru_cache(maxsize=None)
 def _positions():
-    """The 729 indices in encoded order, the position of each, and one
-    shared (position, sign) pair for each position and sign, looked up
-    by any equal pair."""
+    """The 729 indices in encoded order and the position of each."""
     indices = tuple(all_indices())
-    position = {alpha: n for n, alpha in enumerate(indices)}
-    pairs = {(n, sign): (n, sign) for n in range(729) for sign in (1, -1)}
-    return indices, position, pairs
+    return indices, {alpha: n for n, alpha in enumerate(indices)}
 
 
 @lru_cache(maxsize=None)
-def _index_table(g):
-    """act_on_index(g, alpha) for every alpha, by position, as
-    (position, sign); the entries are the shared pairs of _positions,
-    so a table costs one tuple."""
-    indices, position, pairs = _positions()
-    table = []
-    for alpha in indices:
-        beta, sign = act_on_index(g, alpha)
-        table.append(pairs[position[beta], sign])
-    return tuple(table)
+def _position_table(perm, bperm):
+    """The target position of each position under every element with
+    this image in S3 x S3."""
+    indices, position = _positions()
+    g = GroupElement(perm, (1, 1, 1), bperm)
+    return tuple(position[act_on_index(g, alpha)[0]] for alpha in indices)
+
+
+@lru_cache(maxsize=None)
+def _sign_vector(signs):
+    """The sign of the action of every element with these signs, by
+    target position."""
+    g = GroupElement((1, 2, 3), signs)
+    return tuple(act_on_index(g, beta)[1] for beta in _positions()[0])
 
 
 def act_on_tensor(g, t):
-    indices, position, _ = _positions()
-    table = _index_table(g)
+    indices, position = _positions()
+    moves = _position_table(g.perm, g.bperm)
+    sign = _sign_vector(g.signs)
     entries = {}
     for alpha, c in t.entries.items():
-        n, sign = table[position[alpha]]
-        entries[indices[n]] = c if sign > 0 else -c
+        n = moves[position[alpha]]
+        entries[indices[n]] = c if sign[n] > 0 else -c
     return Tensor(entries)
 
 
@@ -240,7 +212,7 @@ def orbit_and_stabilizer(t, elements=None):
     """
     if elements is None:
         elements = enumerate_group("G")
-    indices, position, _ = _positions()
+    indices, position = _positions()
     coeffs = [None]   # code -> coefficient
     code_of = {}      # coefficient -> code
     negation = [0]    # code -> code of the negated coefficient
@@ -269,11 +241,12 @@ def orbit_and_stabilizer(t, elements=None):
     orbit = []
     order = 0
     for g in elements:
-        table = _index_table(g)
+        moves = _position_table(g.perm, g.bperm)
+        sign = _sign_vector(g.signs)
         image = [0] * 729
         for p, k in coded:
-            n, sign = table[p]
-            image[n] = k if sign > 0 else negation[k]
+            n = moves[p]
+            image[n] = k if sign[n] > 0 else negation[k]
         image = tuple(image)
         if image == own:
             order += 1
@@ -281,7 +254,7 @@ def orbit_and_stabilizer(t, elements=None):
             seen.add(image)
             entries = {}
             for p, _ in coded:
-                n = table[p][0]
+                n = moves[p]
                 entries[indices[n]] = coeffs[image[n]]
             orbit.append(Tensor(entries))
     return orbit, order
@@ -294,5 +267,4 @@ def compose(g, h):
     perm = perm_mul(g.perm, h.perm)
     inv_g = tuple(g.perm.index(k + 1) + 1 for k in range(3))
     signs = tuple(g.signs[m] * h.signs[inv_g[m] - 1] for m in range(3))
-    word = _B_WORD_OF_PERM[perm_mul(b_perm(g.bword), b_perm(h.bword))]
-    return GroupElement(perm, signs, word)
+    return GroupElement(perm, signs, perm_mul(g.bperm, h.bperm))

@@ -353,6 +353,8 @@ def var_from_str(s):
 def _number(val):
     if "/" in val:
         p, q = val.split("/")
+        if not int(q):
+            raise PolyParseError(f"zero denominator in {val!r}")
         return Cyclotomic.rational(int(p), int(q))
     return Cyclotomic.coerce(int(val))
 

@@ -48,6 +48,7 @@ GAMMA_TABLE_TYPES = frozenset({24, 29, 32, 38})
 E_CLASS_TYPES = frozenset({35})
 
 
+@lru_cache(maxsize=None)
 def remaining_types():
     handled = (REPLACEABLE_LARGE | REPLACEABLE_EQUAL | GAMMA_9_12_TYPES
                | GAMMA_TABLE_TYPES | E_CLASS_TYPES)

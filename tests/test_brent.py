@@ -182,6 +182,10 @@ def test_json_roundtrip():
     assert brent.export(brent.parse_system(blob), "json") == blob
     with pytest.raises(brent.BrentError):
         brent.parse_system("{}")
+    rec = json.loads(blob)
+    rec["equations"][0]["rhs"] = "1/0"
+    with pytest.raises(brent.BrentError):
+        brent.parse_system(json.dumps(rec))
     with pytest.raises(brent.BrentError):
         brent.export(systems[0], "latex")
 

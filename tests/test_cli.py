@@ -167,6 +167,15 @@ def test_error_exit_codes(tmp_path):
     code, _ = capture(["check-solution", "--system", str(system),
                        "--assignment", str(assignment)])
     assert code == 3
+    # a value with a zero denominator
+    good = tmp_path / "generic.json"
+    good.write_text(brent.export(brent.generic_system(1), "json"))
+    values = {v: "0" for v in rec["variables"]}
+    values[rec["variables"][0]] = "1/0"
+    assignment.write_text(json.dumps(values))
+    code, _ = capture(["check-solution", "--system", str(good),
+                       "--assignment", str(assignment)])
+    assert code == 3
     code, _ = capture(["frobnicate"])
     assert code == 2
     code, _ = capture(["orbit-sum"])

@@ -124,6 +124,22 @@ def test_coded_orbit_matches_action_route():
         assert orbit_and_stabilizer(t, elements) == (orbit, fixed)
 
 
+def test_tables_factor_the_action():
+    """The target position of g e_alpha depends only on (perm, bperm)
+    and its sign only on signs, read at the target position: one
+    position table per image in S3 x S3, one sign vector per sign
+    triple."""
+    indices, _ = group._positions()
+    for g in enumerate_group("G1"):
+        moves = group._position_table(g.perm, g.bperm)
+        signs = group._sign_vector(g.signs)
+        for n, alpha in enumerate(indices):
+            m = moves[n]
+            assert (indices[m], signs[m]) == act_on_index(g, alpha)
+    assert group._position_table.cache_info().currsize == 36
+    assert group._sign_vector.cache_info().currsize == 8
+
+
 def test_element_syntax_roundtrip():
     for g in enumerate_group("G1"):
         assert parse_element(str(g)) == g

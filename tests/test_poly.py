@@ -162,7 +162,7 @@ def test_parse_sum_matches_termwise_sum():
 
 def test_parse_errors():
     for bad in ("a +", "(a", "a^b", "e11", "2**a", "", "x1_1", "a^1/2",
-                "a)", "1 2", "a^", "@", "-"):
+                "a)", "1 2", "a^", "@", "-", "1/0", "a + 3/00"):
         with pytest.raises(PolyParseError):
             parse_polynomial(bad)
     with pytest.raises(PolyParseError):
