@@ -13,7 +13,7 @@ import sys
 from .poly import parse_cyclotomic, PolyParseError
 from .tensors import Tensor
 from . import group
-from .invariants import compute_classes, orbit_sum
+from .invariants import compute_classes, gamma_to_tensor, orbit_sum
 from .catalog import get_family, CatalogError
 from . import prover
 from . import brent
@@ -59,7 +59,8 @@ def _write(path, data, out):
 
 
 def _cmd_verify(args, out):
-    _require_positive(args.max_length, "--max-length")
+    if not 1 <= args.max_length <= prover.MAX_LENGTH:
+        raise UsageError(f"--max-length must be between 1 and {prover.MAX_LENGTH}")
     report = prover.verify_theorem(args.max_length)
     if args.report == "json":
         rec = {
@@ -94,7 +95,6 @@ def _cmd_orbit_sum(args, out):
     w = fam.tensor(params)
     v = orbit_sum(w, fam.length)
     if args.full:
-        from .invariants import gamma_to_tensor
         out.write(gamma_to_tensor(v).dumps() + "\n")
     else:
         out.write(str(v) + "\n")
@@ -134,6 +134,8 @@ def _cmd_brent(args, out):
 def _cmd_check_solution(args, out):
     system = brent.parse_system(_read(args.system))
     rec = json.loads(_read(args.assignment))
+    if not isinstance(rec, dict):
+        raise ValueError("assignment JSON must be an object")
     assignment = {k: parse_cyclotomic(str(v)) for k, v in rec.items()}
     ok, failing = brent.check_solution(system, assignment)
     if ok:
@@ -161,17 +163,15 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the full non-existence proof")
-    v.add_argument("--max-length", type=int, default=23)
+    v.add_argument("--max-length", type=int, default=prover.MAX_LENGTH)
     v.add_argument("--report", choices=("text", "json"), default="text")
     v.set_defaults(fn=_cmd_verify)
 
     o = sub.add_parser("orbit-sum", help="orbit sum of a catalog family")
     o.add_argument("--type", type=int, required=True)
     o.add_argument("--params", help="comma-separated scalar values")
-    mode = o.add_mutually_exclusive_group()
-    mode.add_argument("--gamma", action="store_true",
-                      help="print gamma coordinates (the default mode)")
-    mode.add_argument("--full", action="store_true")
+    o.add_argument("--full", action="store_true",
+                   help="print the full tensor instead of gamma coordinates")
     o.set_defaults(fn=_cmd_orbit_sum)
 
     c = sub.add_parser("classes", help="the 12 classes of even indices")

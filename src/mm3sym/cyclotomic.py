@@ -55,24 +55,6 @@ class Cyclotomic:
     def rational(cls, p, q=None):
         return cls((p if q is None else Fraction(p, q), 0, 0, 0))
 
-    @classmethod
-    def zeta(cls):
-        # z = w^4 = w^2 - 1
-        return cls((-1, 0, 1, 0))
-
-    @classmethod
-    def zeta_bar(cls):
-        # conjugate of z; equals z^2 = -w^2
-        return cls((0, 0, -1, 0))
-
-    @classmethod
-    def imag(cls):
-        return cls((0, 0, 0, 1))
-
-    @classmethod
-    def root12(cls):
-        return cls((0, 1, 0, 0))
-
     @staticmethod
     def coerce(x):
         if isinstance(x, Cyclotomic):
@@ -220,7 +202,7 @@ class Cyclotomic:
 
 ZERO = Cyclotomic()
 ONE = Cyclotomic.rational(1)
-ZETA = Cyclotomic.zeta()
-ZETA_BAR = Cyclotomic.zeta_bar()
-IMAG = Cyclotomic.imag()
-ROOT12 = Cyclotomic.root12()
+ZETA = Cyclotomic((-1, 0, 1, 0))      # z = w^4 = w^2 - 1
+ZETA_BAR = Cyclotomic((0, 0, -1, 0))  # conjugate of z; equals z^2 = -w^2
+IMAG = Cyclotomic((0, 0, 0, 1))
+ROOT12 = Cyclotomic((0, 1, 0, 0))

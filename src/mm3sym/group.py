@@ -17,7 +17,7 @@ import re
 from .tensors import Tensor, all_indices
 
 __all__ = [
-    "GroupElement", "enumerate_group", "phi", "act_on_index",
+    "GroupElement", "enumerate_group", "act_on_index",
     "act_on_tensor", "orbit_and_stabilizer", "compose",
     "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
@@ -68,9 +68,6 @@ class GroupElement:
 
     def det(self):
         return perm_sign(self.perm) * self.signs[0] * self.signs[1] * self.signs[2]
-
-    def in_G(self):
-        return self.det() == 1
 
     def key(self):
         return (self.perm, self.signs, self.bword)
@@ -136,12 +133,6 @@ def enumerate_group(which="G"):
             for bperm in _B_WORDS:
                 out.append(GroupElement(perm, signs, bperm))
     return tuple(out)
-
-
-def phi(g):
-    """Quotient map onto S3 x S3: the line permutation of the matrix
-    part and the factor permutation of the B part."""
-    return (g.perm, g.bperm)
 
 
 def act_on_index(g, alpha):

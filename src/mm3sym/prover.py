@@ -22,7 +22,7 @@ __all__ = [
     "ProofError", "EliminationCertificate",
     "REDUCIBLE", "GAMMA_9_12", "DIAGONAL_OR_GAMMA_TABLE", "E_11_12_21",
     "GAMMA_3_EQ_5", "RULES",
-    "gamma_table", "gamma_row", "enumerate_multisets", "multiset_length",
+    "MAX_LENGTH", "gamma_table", "gamma_row", "enumerate_multisets",
     "check_replacement", "check_gamma9_12", "check_sign_table", "check_e_class",
     "check_final", "verify_theorem", "TheoremReport",
 ]
@@ -39,6 +39,8 @@ DIAGONAL_OR_GAMMA_TABLE = "DIAGONAL_OR_GAMMA_TABLE"
 E_11_12_21 = "E_11_12_21"
 GAMMA_3_EQ_5 = "GAMMA_3_EQ_5"
 RULES = (REDUCIBLE, GAMMA_9_12, DIAGONAL_OR_GAMMA_TABLE, E_11_12_21, GAMMA_3_EQ_5)
+
+MAX_LENGTH = 23  # the length the five rules are proved for
 
 # type sets the rules act on
 REPLACEABLE_LARGE = frozenset({16, 18, 21, 25, 33, 42})  # replaced by < l tensors
@@ -111,10 +113,6 @@ def t_gamma():
 
 
 # -- multiset enumeration --------------------------------------------
-
-def multiset_length(multiset):
-    return sum(get_family(fid).length for fid in multiset)
-
 
 def enumerate_multisets(max_length):
     """All nonempty multisets of family ids with total orbit length
@@ -230,10 +228,11 @@ def check_gamma9_12(facts=None):
     target tensor violates."""
     facts = {} if facts is None else facts
     table = gamma_table()
-    companions = small_type_ids(23 - 18)
+    companions = small_type_ids(MAX_LENGTH - 18)
     _require(companions == [5, 6, 7, 9], "gamma9_12.companions", str(companions))
     facts["gamma9_12.companions"] = (
-        "residual budget 23 - 18 = 5 admits only types 5, 6, 7, 9"
+        f"residual budget {MAX_LENGTH} - 18 = {MAX_LENGTH - 18} "
+        "admits only types 5, 6, 7, 9"
     )
     for fid in sorted(GAMMA_9_12_TYPES | {5, 6, 7}):
         for m in (9, 10, 11, 12):
@@ -444,8 +443,11 @@ def _certificate_for(multiset, facts):
     return None
 
 
-def verify_theorem(max_length=23):
-    """Run every proof step, then certify every admissible multiset."""
+def verify_theorem(max_length=MAX_LENGTH):
+    """Run every proof step, then certify every admissible multiset;
+    raises ValueError above MAX_LENGTH."""
+    if max_length > MAX_LENGTH:
+        raise ValueError(f"max_length must be <= {MAX_LENGTH}")
     facts = {}
     check_replacement(facts)
     check_gamma9_12(facts)

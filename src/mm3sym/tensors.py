@@ -12,8 +12,7 @@ from .poly import Polynomial, add_into, parse_polynomial
 
 __all__ = [
     "encode_index", "decode_index", "all_indices", "index_is_even",
-    "Tensor", "tensor_sum", "tensor_from_factors", "matrix",
-    "matrix_from_dict", "pi12", "mat_add", "mat_scale", "mat_transpose",
+    "Tensor", "tensor_sum", "tensor_from_factors", "matrix", "pi12",
 ]
 
 
@@ -113,9 +112,18 @@ class Tensor:
 
     @classmethod
     def from_json(cls, obj):
+        """The tensor of a JSON record; ValueError for a wrong shape."""
+        recs = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(recs, list):
+            raise ValueError("tensor JSON must be an object with an entries list")
         entries = {}
-        for rec in obj["entries"]:
-            alpha = tuple((int(i), int(j)) for i, j in rec["idx"])
+        for rec in recs:
+            if not (isinstance(rec, dict) and isinstance(rec.get("coeff"), str)):
+                raise ValueError(f"bad tensor entry {rec!r}")
+            try:
+                alpha = tuple((int(i), int(j)) for i, j in rec.get("idx"))
+            except TypeError:
+                raise ValueError(f"bad tensor index in {rec!r}") from None
             p = parse_polynomial(rec["coeff"])
             if p:
                 entries[alpha] = p
@@ -180,26 +188,3 @@ def matrix(rows):
     """3x3 factor matrix from a nested sequence of Polynomial-likes."""
     return tuple(tuple(Polynomial.coerce(x) for x in row) for row in rows)
 
-
-def matrix_from_dict(d):
-    """Factor matrix from a map (i,j) -> coefficient, 1-based."""
-    return tuple(
-        tuple(Polynomial.coerce(d.get((i, j), 0)) for j in range(1, 4))
-        for i in range(1, 4)
-    )
-
-
-def mat_add(*mats):
-    return tuple(
-        tuple(sum((m[i][j] for m in mats), Polynomial()) for j in range(3))
-        for i in range(3)
-    )
-
-
-def mat_scale(m, c):
-    c = Polynomial.coerce(c)
-    return tuple(tuple(m[i][j] * c for j in range(3)) for i in range(3))
-
-
-def mat_transpose(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))

@@ -7,7 +7,7 @@ import pytest
 from mm3sym import brent, group
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
-from mm3sym.tensors import Tensor, matrix_from_dict, tensor_from_factors
+from mm3sym.tensors import Tensor, matrix, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
 from mm3sym.invariants import orbit_sum
 from mm3sym.prover import enumerate_multisets
@@ -67,16 +67,16 @@ def test_trivial_decomposition_orbit_structure():
     # the 27 rank-one terms of the trivial decomposition sum to the
     # target tensor and split into G-orbits of sizes 3, 18 and 6 --
     # exactly the classes carrying its g1, g3 and g9 coordinates
+    def unit(i, j):
+        return matrix([[int((r, c) == (i, j)) for c in (1, 2, 3)]
+                       for r in (1, 2, 3)])
+
     terms = []
     total = Tensor()
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
-                t = tensor_from_factors(
-                    matrix_from_dict({(i, j): 1}),
-                    matrix_from_dict({(j, k): 1}),
-                    matrix_from_dict({(k, i): 1}),
-                )
+                t = tensor_from_factors(unit(i, j), unit(j, k), unit(k, i))
                 terms.append(t)
                 total = total + t
     assert total == matmul_tensor()

@@ -1,13 +1,15 @@
+import json
 import random
+from importlib import resources
 
 import pytest
 
-from mm3sym import group
+from mm3sym import catalog, group
 from mm3sym.poly import ParamId, parse_polynomial
-from mm3sym.tensors import Tensor, pi12
+from mm3sym.tensors import pi12
 from mm3sym.catalog import (
     all_families, get_family, family_tensor, matmul_tensor,
-    verify_catalog, families_from_json, CatalogError,
+    verify_catalog, CatalogError, OrbitFamily,
     LINEAR_SCALING_FAMILIES,
 )
 
@@ -75,16 +77,44 @@ def test_linear_scaling_family_set():
 def test_all_families_is_packaged_catalog():
     fams = all_families()
     assert all_families() is fams
-    packaged = families_from_json()
-    assert list(fams) == list(range(1, 45))
-    assert list(packaged) == list(fams)
-    for fid, fam in fams.items():
-        assert fam.id == fid
-        assert fam.length == packaged[fid].length
-        assert fam.tensor() == packaged[fid].tensor()
+    text = resources.files("mm3sym").joinpath("data/catalog.json").read_text()
+    recs = json.loads(text)["families"]
+    assert list(fams) == [rec["id"] for rec in recs] == list(range(1, 45))
+    for rec in recs:
+        fam = fams[rec["id"]]
+        assert fam.id == rec["id"]
+        assert fam.length == rec["length"]
+        assert fam.params == "".join(rec["params"])
+        assert fam.power == rec["power"]
 
 
 def test_verify_catalog_full():
     # orbit lengths, stabilizer products, symmetry and scaling laws for
     # every family; this is the expensive catalog check
     verify_catalog()
+
+
+@pytest.mark.parametrize("linear, message", [
+    (LINEAR_SCALING_FAMILIES - {6}, "family 6: scaling law z'=2 at z=8 fails"),
+    (LINEAR_SCALING_FAMILIES | {5}, "family 5: scaling law z'=5 at z=5 fails"),
+    (LINEAR_SCALING_FAMILIES - {41}, "family 41: scaling law z'=2 at z=8 fails"),
+])
+def test_verify_catalog_rejects_wrong_scaling_degree(monkeypatch, linear,
+                                                     message):
+    monkeypatch.setattr(catalog, "LINEAR_SCALING_FAMILIES", linear)
+    with pytest.raises(CatalogError) as exc:
+        verify_catalog()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scale", ["1 + a^2", "a + a^3"])
+def test_verify_catalog_rejects_mixed_degree(monkeypatch, scale):
+    # family 6 with its scale a replaced: no degree, or only the first
+    # monomial's degree, matches the linear scaling law
+    fam = get_family(6)
+    fake = OrbitFamily(6, fam.length, fam.params, fam.power,
+                       parse_polynomial(scale), fam.factors)
+    monkeypatch.setattr(catalog, "all_families", lambda: {6: fake})
+    with pytest.raises(CatalogError) as exc:
+        verify_catalog()
+    assert str(exc.value) == "family 6: scaling law z'=5 at z=5 fails"

@@ -1,12 +1,14 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from mm3sym.cli import run
-from mm3sym import brent
+from mm3sym.cli import _build_parser, run
+from mm3sym import brent, prover
 from mm3sym.catalog import matmul_tensor
 from mm3sym.tensors import Tensor
 
@@ -19,7 +21,7 @@ def capture(argv):
 
 def test_orbit_sum_worked_example():
     code, text = capture(
-        ["orbit-sum", "--type", "27", "--params", "1,2,3,4,5", "--gamma"])
+        ["orbit-sum", "--type", "27", "--params", "1,2,3,4,5"])
     assert code == 0
     assert text == ("318*g1 + 214*g2 + 32*g3 - 32*g4 + 32*g5 + 174*g6 "
                     "- 40*g7 + 40*g8\n")
@@ -91,13 +93,44 @@ def test_brent_usage_errors():
     assert code == 2
 
 
-def test_nonpositive_sizes_are_usage_errors():
+def test_nonpositive_sizes_are_usage_errors(capsys):
     for argv in (["verify", "--max-length", "0"],
                  ["multisets", "--max-length", "0"],
                  ["brent", "--mode", "generic", "--rank", "0"]):
         code, text = capture(argv)
         assert code == 2, argv
         assert text == ""
+    # the proof is built for length 23; longer lengths are refused, but
+    # enumerating longer multisets is fine
+    for max_length in ("24", "40"):
+        code, text = capture(["verify", "--max-length", max_length])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "23" in err
+    code, text = capture(["multisets", "--max-length", "24"])
+    assert code == 0
+    assert len(text.splitlines()) == prover.count_multisets(24)
+
+
+def test_readme_synopsis_matches_parser():
+    # the code block of README's CLI section names every subcommand and
+    # every flag the parser accepts, and no others
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("mm3sym "):
+            flags = documented.setdefault(line.split()[1], set())
+            flags.update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {flag for action in parser._actions
+               for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+        for name, parser in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_module_entry_point():
@@ -176,9 +209,24 @@ def test_error_exit_codes(tmp_path):
     code, _ = capture(["check-solution", "--system", str(good),
                        "--assignment", str(assignment)])
     assert code == 3
+    # JSON of the wrong shape
+    for text in ("[1, 2]", '"x"'):
+        assignment.write_text(text)
+        code, _ = capture(["check-solution", "--system", str(good),
+                           "--assignment", str(assignment)])
+        assert code == 3, text
+    for text in ('[1, 2]', '{"entries": 5}', '{"entries": [5]}',
+                 '{"entries": [{"idx": [[1, 1], [1, 1], [1, 1]], "coeff": 5}]}',
+                 '{"entries": [{"idx": 5, "coeff": "1"}]}'):
+        bad.write_text(text)
+        code, _ = capture(["act", "--g", "a=(perm=(231),signs=+--);b=id",
+                           "--in", str(bad)])
+        assert code == 3, text
     code, _ = capture(["frobnicate"])
     assert code == 2
     code, _ = capture(["orbit-sum"])
+    assert code == 2
+    code, _ = capture(["orbit-sum", "--type", "7", "--gamma"])
     assert code == 2
 
 

@@ -42,7 +42,7 @@ def test_enumeration_structure():
     assert len(set(ms)) == len(ms)
     for m in ms:
         assert m == tuple(sorted(m))
-        assert 1 <= prover.multiset_length(m) <= 23
+        assert 1 <= sum(get_family(fid).length for fid in m) <= 23
     # monotone in the budget
     assert set(prover.enumerate_multisets(10)) <= set(ms)
     with pytest.raises(ValueError):
@@ -91,6 +91,9 @@ def test_verify_theorem():
         assert cert.multiset == tuple(sorted(cert.multiset))
         for name in cert.identities:
             assert name in report.facts
+    # the rules are proved for length 23 only
+    with pytest.raises(ValueError):
+        prover.verify_theorem(24)
 
 
 def test_certificates_use_first_applicable_rule():

@@ -3,8 +3,7 @@ import random
 from mm3sym.poly import Polynomial, parse_polynomial
 from mm3sym.tensors import (
     encode_index, decode_index, all_indices, index_is_even,
-    Tensor, tensor_from_factors, matrix, matrix_from_dict, pi12,
-    mat_add, mat_scale, mat_transpose,
+    Tensor, tensor_from_factors, matrix, pi12,
 )
 
 
@@ -51,20 +50,14 @@ def test_tensor_from_factors_multilinear():
     a = matrix([[pa, 0, 0], [0, 1, 0], [0, 0, 1]])
     b = matrix([[0, pb, 0], [0, 0, 0], [0, 0, 0]])
     e = matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    t = tensor_from_factors(mat_add(a, b), e, e)
+    a_plus_b = matrix([[pa, pb, 0], [0, 1, 0], [0, 0, 1]])
+    t = tensor_from_factors(a_plus_b, e, e)
     assert t == tensor_from_factors(a, e, e) + tensor_from_factors(b, e, e)
-    s = tensor_from_factors(mat_scale(a, 3), e, e)
+    three_a = matrix([[pa * 3, 0, 0], [0, 3, 0], [0, 0, 3]])
+    s = tensor_from_factors(three_a, e, e)
     assert s == tensor_from_factors(a, e, e).scale(3)
     one = tensor_from_factors(e, e, e)
     assert one == Tensor.basis(((1, 1), (1, 1), (1, 1)))
-
-
-def test_matrix_helpers():
-    m = matrix_from_dict({(1, 2): parse_polynomial("a")})
-    assert m[0][1] == parse_polynomial("a")
-    assert m[1][1] == Polynomial()
-    assert mat_transpose(m)[1][0] == parse_polynomial("a")
-    assert mat_transpose(mat_transpose(m)) == m
 
 
 def test_pi12():
