@@ -14,7 +14,7 @@ import json
 from .cyclotomic import Cyclotomic, ONE
 from .poly import (
     Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
-    var_from_str, add_into, PolyParseError,
+    var_from_str, add_into, PolyParseError, _KEYS, _NAMES,
 )
 from .prover import gamma_row
 from .catalog import get_family, matmul_tensor
@@ -81,30 +81,28 @@ def generic_system(rank):
     the matrix multiplication tensor."""
     if rank < 1:
         raise BrentError("rank must be >= 1")
-    variables = [
-        BrentVar(f, j, i, k)
-        for j in range(1, rank + 1)
-        for f in range(3)
-        for i in (1, 2, 3)
-        for k in (1, 2, 3)
-    ]
+    # one (variable, 1) factor per coordinate, shared by every monomial
+    # that uses it; column 9*f + 3*(i-1) + (k-1) lists the terms' entry
+    # (i, k) of factor f
+    cols = [[(BrentVar(f, j, i, k), 1) for j in range(1, rank + 1)]
+            for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3)]
+    variables = [col[j][0] for j in range(rank) for col in cols]
     target = matmul_tensor()
     equations = []
     for i1 in (1, 2, 3):
         for j1 in (1, 2, 3):
+            xs = cols[3 * i1 + j1 - 4]
             for i2 in (1, 2, 3):
                 for j2 in (1, 2, 3):
+                    ys = cols[3 * i2 + j2 + 5]
                     for i3 in (1, 2, 3):
                         for j3 in (1, 2, 3):
+                            zs = cols[3 * i3 + j3 + 14]
                             alpha = ((i1, j1), (i2, j2), (i3, j3))
                             # x < y < z in variable order, so each
                             # monomial is already sorted
-                            lhs = Polynomial({
-                                ((BrentVar(0, j, i1, j1), 1),
-                                 (BrentVar(1, j, i2, j2), 1),
-                                 (BrentVar(2, j, i3, j3), 1)): ONE
-                                for j in range(1, rank + 1)
-                            })
+                            lhs = Polynomial(
+                                {m: ONE for m in zip(xs, ys, zs)})
                             rhs = target.coeff(alpha).constant_value()
                             equations.append(Equation(alpha, lhs, rhs))
     return BrentSystem("generic", variables, equations, rank=rank)
@@ -218,6 +216,7 @@ def parse_system(rec):
             )
             for e in rec["equations"]
         ]
+        _check_declared(variables, equations)
         if mode == "generic":
             return BrentSystem(mode, variables, equations, rank=rec["rank"])
         if mode == "invariant":
@@ -226,6 +225,18 @@ def parse_system(rec):
     except (KeyError, TypeError, PolyParseError, ValueError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc
     raise BrentError(f"bad system mode: {mode!r}")
+
+
+def _check_declared(variables, equations):
+    """Every variable of an equation must be in the record's list, or an
+    assignment to the list's variables would leave it symbolic."""
+    factors = set()
+    for eq in equations:
+        factors.update(*eq.lhs.terms)
+    undeclared = {v for v, _ in factors}.difference(variables)
+    if undeclared:
+        first = min(undeclared, key=_KEYS.__getitem__)
+        raise BrentError(f"bad system record: undeclared variable {first}")
 
 
 def _wbasis(c):
@@ -251,9 +262,10 @@ def _wbasis(c):
 
 
 def _m2_poly(p):
+    keys, names = _KEYS, _NAMES
     parts = []
     for mono, c in sorted(p.terms.items(),
-                          key=lambda t: [(v.key(), e) for v, e in t[0]]):
+                          key=lambda t: [(keys[v], e) for v, e in t[0]]):
         factors = []
         cs = _wbasis(c)
         if "+" in cs[1:] or "-" in cs[1:]:
@@ -261,7 +273,7 @@ def _m2_poly(p):
         elif cs != "1" or not mono:
             factors.append(cs)
         for v, e in mono:
-            name = str(v).replace("_", "")
+            name = names[v].replace("_", "")
             factors.append(name if e == 1 else f"{name}^{e}")
         parts.append("*".join(factors))
     return "+".join(parts).replace("+-", "-") if parts else "0"

@@ -7,6 +7,7 @@ produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,7 +155,10 @@ def _cmd_act(args, out):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves
+    it unchanged, so every run shares it."""
     p = argparse.ArgumentParser(
         prog="mm3sym",
         description="Exact symbolic toolkit for symmetric decompositions "

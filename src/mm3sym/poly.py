@@ -45,13 +45,30 @@ class BrentVar(NamedTuple):
 _UNSET = object()
 
 
-def _var_key(v):
-    return v.key()
+class _Memo(dict):
+    """fn(v) for each key v, computed on first lookup and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, v):
+        out = self[v] = self.fn(v)
+        return out
+
+
+# variable -> sort key and variable -> printed name, so that printing
+# and sorting look each variable up instead of rebuilding its key tuple
+# or formatting its name at every occurrence
+_KEYS = _Memo(lambda v: v.key())
+_NAMES = _Memo(str)
 
 
 def _item_key(pair):
     """Sort key of a (variable, exponent) pair within a monomial."""
-    return pair[0].key()
+    return _KEYS[pair[0]]
 
 
 class Polynomial:
@@ -143,18 +160,24 @@ class Polynomial:
         return Polynomial(add_into({}, self._substituted(assignment)))
 
     def _substituted(self, assignment):
-        # a monomial stops at its first zero factor: its term drops out
+        # a monomial stops at its first zero factor: its term drops out.
+        # The generator and the parser give every unit coefficient as the
+        # ONE object, which the first value replaces instead of scaling.
+        get = assignment.get
+        coerce = Cyclotomic.coerce
         for m, c in self.terms.items():
             rest = []
             for v, e in m:
-                x = assignment.get(v, _UNSET)
+                x = get(v, _UNSET)
                 if x is _UNSET:
                     rest.append((v, e))
                     continue
-                x = Cyclotomic.coerce(x)
+                x = coerce(x)
                 if not x:
                     break
-                c = c * (x if e == 1 else x ** e)
+                if e != 1:
+                    x = x ** e
+                c = x if c is ONE else c * x
             else:
                 yield tuple(rest), c
 
@@ -172,7 +195,7 @@ class Polynomial:
         for m in self.terms:
             for v, _ in m:
                 seen.add(v)
-        return sorted(seen, key=_var_key)
+        return sorted(seen, key=_KEYS.__getitem__)
 
     # -- predicates --------------------------------------------------
 
@@ -208,9 +231,11 @@ class Polynomial:
     # -- printing ----------------------------------------------------
 
     def _sorted_terms(self):
+        keys = _KEYS
+
         def key(item):
-            m, _ = item
-            return (-sum(e for _, e in m), tuple((_var_key(v), -e) for v, e in m))
+            m = item[0]
+            return (-sum([e for _, e in m]), [(keys[v], -e) for v, e in m])
         return sorted(self.terms.items(), key=key)
 
     def __str__(self):
@@ -258,14 +283,14 @@ def _mono_mul(m1, m2):
 
 
 def _mono_str(m):
-    parts = []
-    for v, e in m:
-        parts.append(str(v) if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+    names = _NAMES
+    return "*".join([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in m])
 
 
 def _term_str(m, c):
     """Render one term; returns (body, sign_is_negative)."""
+    if m and c == ONE:
+        return _mono_str(m), False
     q = c.qbasis()
     nonzero = [x for x in q if x != 0]
     if not m:
@@ -288,18 +313,21 @@ def _term_str(m, c):
 # -- parsing ---------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<brent>[xyz]\d+_\d\d)"
-    r"|(?P<const>zb|[ziw])"
-    r"|(?P<param>[abcdfg]\d*)"
-    r"|(?P<op>[-+*^()])"
-    r"|(?P<bad>\S)"
+    r"\s*("
+    r"\d+(?:/\d+)?"       # number
+    r"|[xyz]\d+_\d\d"     # Brent variable
+    r"|zb|[ziw]"          # constant
+    r"|[abcdfg]\d*"       # parameter
+    r"|[-+*^()]"          # operator
+    r"|\S"                # anything else is a bad token
     r")"
 )
 
-# token text -> (kind, value) for the fixed tokens; variable names are
-# added as they are first seen, so each name is resolved once
+# token text -> (kind, value), so that each text is resolved once: the
+# operators and constants are fixed, numbers and variable names are
+# added as they are first seen.  The kinds are the operators, "const"
+# (a Cyclotomic), "var" (a variable) and "int" (a pair of the int and
+# its Cyclotomic, for a number that may also be an exponent).
 _TOKENS = {op: (op, op) for op in "-+*^()"}
 _TOKENS.update(
     (name, ("const", c))
@@ -313,23 +341,36 @@ class PolyParseError(ValueError):
 
 def _tokenize(text):
     """One regex pass; the tokens end with the _END sentinel."""
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        val = m[kind]
-        tok = _TOKENS.get(val)
-        if tok is None:
-            if kind == "number":
-                tok = (kind, val)
-            elif kind == "bad":
-                raise PolyParseError(f"bad token at {text[m.start():]!r}")
-            else:
-                var = _brent_var(val) if kind == "brent" else _param_var(val)
-                tok = _TOKENS[val] = ("var", var)
-        append(tok)
-    append(_END)
+    get = _TOKENS.get
+    tokens = [get(t) or _new_token(t, text) for t in _TOKEN_RE.findall(text)]
+    tokens.append(_END)
     return tokens
+
+
+def _new_token(t, text):
+    """Classify a token text not in _TOKENS by its first character and
+    store it there.  A bad token raises, and a number with a zero
+    denominator becomes a "zero" token that the parser rejects where it
+    stands; neither is stored."""
+    c = t[0]
+    if c.isdecimal():
+        p, _, q = t.partition("/")
+        if not q:
+            n = int(p)
+            tok = ("int", (n, Cyclotomic.coerce(n)))
+        elif not int(q):
+            return ("zero", t)
+        else:
+            tok = ("const", Cyclotomic.rational(int(p), int(q)))
+    elif c in "abcdfg":
+        tok = ("var", _param_var(t))
+    elif len(t) > 1:
+        tok = ("var", _brent_var(t))
+    else:
+        bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
+        raise PolyParseError(f"bad token at {text[bad.start():]!r}")
+    _TOKENS[t] = tok
+    return tok
 
 
 def _brent_var(s):
@@ -348,15 +389,6 @@ def var_from_str(s):
     if m is None:
         raise PolyParseError(f"bad variable name {s!r}")
     return _brent_var(s) if m.lastgroup == "brent" else _param_var(s)
-
-
-def _number(val):
-    if "/" in val:
-        p, q = val.split("/")
-        if not int(q):
-            raise PolyParseError(f"zero denominator in {val!r}")
-        return Cyclotomic.rational(int(p), int(q))
-    return Cyclotomic.coerce(int(val))
 
 
 class _Parser:
@@ -414,17 +446,19 @@ class _Parser:
                 if tokens[self.pos][0] != ")":
                     raise PolyParseError("missing closing parenthesis")
                 self.pos += 1
-            elif kind == "number":
-                kind, val = "const", _number(val)
+            elif kind == "int":
+                kind, val = "const", val[1]
+            elif kind == "zero":
+                raise PolyParseError(f"zero denominator in {val!r}")
             elif kind != "var" and kind != "const":
                 raise PolyParseError(f"unexpected token {val!r}")
             e = 1
             if tokens[self.pos][0] == "^":
                 kind_e, val_e = tokens[self.pos + 1]
                 self.pos += 2
-                if kind_e != "number" or "/" in val_e:
+                if kind_e != "int":
                     raise PolyParseError("exponent must be an integer")
-                e = int(val_e)
+                e = val_e[0]
             if negate and e & 1:
                 coeff = -coeff
             if kind == "var":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -202,6 +203,18 @@ def test_m2_export_golden():
     s = brent.invariant_system((9, 5))
     golden = (DATA / "invariant_9_5.m2").read_text()
     assert brent.export(s, "m2") == golden
+
+
+def test_generic_export_golden():
+    s = brent.generic_system(23)
+    golden = {
+        "json": "fef6cd653265d0070080e5a07b0d54e946720e3cf841f5f2b32c26ba5a2ea98a",
+        "text": "352eac11b68c5e1fed90aa6a8ff16657ba49b210b34e90da63b9c0870cd43f2e",
+        "m2": "c9f809423800494d008b4bb2588dcb8c511d6cd668a732f8000e58eb07f4882f",
+    }
+    for fmt, digest in golden.items():
+        assert hashlib.sha256(
+            brent.export(s, fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_exports_deterministic():

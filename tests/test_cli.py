@@ -165,6 +165,22 @@ def test_check_solution(tmp_path):
     assert text.startswith("SOLUTION FAILS 1 equations")
 
 
+def test_check_solution_undeclared_variable(tmp_path):
+    # y1_11 is used by the equation but missing from the variable list,
+    # so no assignment to the list can settle the equation
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({
+        "mode": "generic", "rank": 1, "variables": ["x1_11"],
+        "equations": [{"label": [[1, 1], [1, 1], [1, 1]],
+                       "lhs": "x1_11*y1_11", "rhs": "1"}]}))
+    assignment = tmp_path / "sol.json"
+    for values in ({"x1_11": 1}, {"x1_11": 1, "y1_11": 1}):
+        assignment.write_text(json.dumps(values))
+        code, text = capture(["check-solution", "--system", str(system),
+                              "--assignment", str(assignment)])
+        assert (code, text) == (3, ""), values
+
+
 def test_act(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(matmul_tensor().dumps())
@@ -235,4 +251,9 @@ def test_determinism():
                  ["multisets", "--max-length", "6"],
                  ["brent", "--mode", "invariant", "--types", "24,9,7"],
                  ["verify", "--max-length", "7", "--report", "json"]):
-        assert capture(argv) == capture(argv)
+        first = capture(argv)
+        # usage errors in between leave the shared parser as it was
+        for bad in (["verify", "--max-length", "0"],
+                    ["verify", "--max-length", "x"]):
+            assert capture(bad) == (2, "")
+        assert capture(argv) == first

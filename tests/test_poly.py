@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mm3sym.cyclotomic import Cyclotomic, ZETA, ZETA_BAR, IMAG, ROOT12
+from mm3sym.cyclotomic import Cyclotomic, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
 from mm3sym.poly import (
     Polynomial, ParamId, BrentVar, parse_polynomial, parse_cyclotomic,
-    var_from_str, PolyParseError,
+    var_from_str, PolyParseError, _TOKENS,
 )
 
 A = ParamId(0, "a")
@@ -19,11 +19,19 @@ def rand_cyc(rng):
     return Cyclotomic([Fraction(rng.randint(-4, 4)) for _ in range(4)])
 
 
-def rand_poly(rng, nvars=3, nterms=4):
-    variables = [ParamId(0, "abc"[k]) for k in range(nvars)]
+# parameters and Brent coordinates, so that monomials sort and print
+# across both kinds of variable
+_POOL = [ParamId(0, "c"), ParamId(2, "a"), ParamId(13, "g"),
+         BrentVar(0, 3, 1, 2), BrentVar(1, 27, 3, 3), BrentVar(2, 1, 2, 1)]
+
+
+def rand_poly(rng, nterms=4):
+    variables = [A, B, *rng.sample(_POOL, 2)]
     p = Polynomial()
     for _ in range(rng.randint(0, nterms)):
-        t = Polynomial.constant(rand_cyc(rng))
+        # now and then a unit coefficient, which prints as no factor
+        c = rng.choice((ONE, -ONE)) if rng.random() < 0.3 else rand_cyc(rng)
+        t = Polynomial.constant(c)
         for v in variables:
             t = t * Polynomial.variable(v) ** rng.randint(0, 2)
         p = p + t
@@ -161,12 +169,30 @@ def test_parse_sum_matches_termwise_sum():
 
 
 def test_parse_errors():
-    for bad in ("a +", "(a", "a^b", "e11", "2**a", "", "x1_1", "a^1/2",
-                "a)", "1 2", "a^", "@", "-", "1/0", "a + 3/00"):
-        with pytest.raises(PolyParseError):
-            parse_polynomial(bad)
+    # bad input -> the part of its error message that names it
+    named = {"x1_1": "'x1_1'", "e11": "'e11'", "@": "'@'", "1/0": "'1/0'",
+             "a + 3/00": "'3/00'", "2 * y": "' y'", "a^1/0": "integer"}
+    unnamed = ("a +", "(a", "a^b", "2**a", "", "a^1/2", "a)", "1 2", "a^",
+               "-")
+
+    def check():
+        for bad in (*unnamed, *named):
+            with pytest.raises(PolyParseError) as err:
+                parse_polynomial(bad)
+            assert named.get(bad, "") in str(err.value), bad
+
+    # twice, then again once a valid parse has stored tokens that begin
+    # as the bad ones do
+    check()
+    check()
+    parse_polynomial("x1_11*y1_11 + 3/2*a - 1 + 10")
+    check()
     with pytest.raises(PolyParseError):
         parse_cyclotomic("a + 1")
+    # no bad token was stored
+    kinds = {"-", "+", "*", "^", "(", ")", "const", "var", "int"}
+    assert {kind for kind, _ in _TOKENS.values()} <= kinds
+    assert not {"x", "y", "e", "@", "1/0", "3/00"} & _TOKENS.keys()
 
 
 def test_printing_deterministic():
