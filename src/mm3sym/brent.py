@@ -10,8 +10,9 @@ gamma coordinate.
 """
 
 import json
+from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ONE
+from .cyclotomic import Cyclotomic, ONE, ZERO
 from .poly import (
     Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
     var_from_str, add_into, PolyParseError, _KEYS, _NAMES,
@@ -29,23 +30,15 @@ class BrentError(Exception):
     pass
 
 
-class Equation:
+class Equation(NamedTuple):
     """lhs = rhs with a stable label (a basis index or a gamma id)."""
 
-    __slots__ = ("label", "lhs", "rhs")
-
-    def __init__(self, label, lhs, rhs):
-        self.label = label
-        self.lhs = lhs
-        self.rhs = Cyclotomic.coerce(rhs)
+    label: object
+    lhs: Polynomial
+    rhs: Cyclotomic
 
     def holds(self, assignment):
         return self.lhs.substitute(assignment) == Polynomial.constant(self.rhs)
-
-    def __eq__(self, other):
-        return (isinstance(other, Equation)
-                and (self.label, self.lhs, self.rhs)
-                == (other.label, other.lhs, other.rhs))
 
     def __repr__(self):
         return f"{self.lhs} = {self.rhs}"
@@ -126,7 +119,7 @@ def invariant_system(multiset):
         for acc, p in zip(sums, gamma_row(fid).coords):
             add_into(acc, p.map_vars(rename).terms.items())
     equations = [
-        Equation(m, Polynomial(sums[m - 1]), 1 if m in (1, 3, 9) else 0)
+        Equation(m, Polynomial(sums[m - 1]), ONE if m in (1, 3, 9) else ZERO)
         for m in range(1, 13)
     ]
     return BrentSystem("invariant", variables, equations, multiset=multiset)

@@ -128,10 +128,6 @@ class Cyclotomic:
             return _make(c0 + c2, c1, -c2, -c1 - c3)
         raise ValueError("k must be coprime to 12")
 
-    def conj(self):
-        """Complex conjugation, w -> w^-1."""
-        return self.galois(11)
-
     def inv(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")

@@ -13,6 +13,7 @@ signs, so 36 position tables and 8 sign vectors serve every element.
 
 from functools import lru_cache
 import re
+from typing import NamedTuple
 
 from .tensors import Tensor, all_indices
 
@@ -49,17 +50,13 @@ def perm_sign(p):
     return (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) // 2
 
 
-class GroupElement:
+class GroupElement(NamedTuple):
     """Element of G1 = A1 x B: a signed permutation matrix times a
     factor permutation."""
 
-    __slots__ = ("perm", "signs", "bperm")
-
-    def __init__(self, perm=(1, 2, 3), signs=(1, 1, 1), bperm=(1, 2, 3)):
-        self.perm = tuple(perm)
-        self.signs = tuple(signs)
-        self.bperm = tuple(bperm)
-        assert self.bperm in _B_WORDS, bperm
+    perm: tuple = (1, 2, 3)
+    signs: tuple = (1, 1, 1)
+    bperm: tuple = (1, 2, 3)
 
     @property
     def bword(self):
@@ -68,15 +65,6 @@ class GroupElement:
 
     def det(self):
         return perm_sign(self.perm) * self.signs[0] * self.signs[1] * self.signs[2]
-
-    def key(self):
-        return (self.perm, self.signs, self.bword)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __str__(self):
         signs = "".join("+" if s > 0 else "-" for s in self.signs)
@@ -142,16 +130,16 @@ def act_on_index(g, alpha):
     is odd, perm relabels both components of each pair, and the sign is
     the product of the signs over the six components of beta.
     """
-    p = g.perm
-    odd = perm_sign(g.bperm) < 0
+    p, signs, bperm = g
+    odd = perm_sign(bperm) < 0
     beta = [None, None, None]
-    for (i, j), place in zip(alpha, g.bperm):
+    for (i, j), place in zip(alpha, bperm):
         if odd:
             i, j = j, i
         beta[place - 1] = (p[i - 1], p[j - 1])
     sign = 1
     for i, j in beta:
-        sign *= g.signs[i - 1] * g.signs[j - 1]
+        sign *= signs[i - 1] * signs[j - 1]
     return tuple(beta), sign
 
 
@@ -195,33 +183,25 @@ def orbit_and_stabilizer(t, elements=None):
     first-seen order over the fixed group enumeration, and the number
     of elements fixing t, from one pass over the elements.
 
-    Each distinct coefficient of t, and its negation, is interned once
-    as a small int code (0 is an absent entry), so that an image is a
-    tuple of 729 codes by position, hashed and compared without
-    touching a Polynomial.  A Tensor is built only for the images the
-    orbit keeps, with its entries in the order act_on_tensor gives.
+    Each distinct coefficient c of t is coded once as a small int k,
+    and -c as -k (0 is an absent entry), so that an entry coded k moves
+    to one coded sign * k, and an image is a tuple of 729 codes by
+    position, hashed and compared without touching a Polynomial.  A
+    Tensor is built only for the images the orbit keeps, with its
+    entries in the order act_on_tensor gives.
     """
     if elements is None:
         elements = enumerate_group("G")
     indices, position = _positions()
-    coeffs = [None]   # code -> coefficient
-    code_of = {}      # coefficient -> code
-    negation = [0]    # code -> code of the negated coefficient
-
-    def intern(c):
-        k = code_of.get(c)
-        if k is None:
-            k = code_of[c] = len(coeffs)
-            coeffs.append(c)
-            negation.append(None)
-        return k
-
+    coeff = {}     # signed code -> coefficient
+    code_of = {}   # coefficient -> signed code
     coded = []
     for alpha, c in t.entries.items():
-        k = intern(c)
-        if negation[k] is None:
-            m = intern(-c)
-            negation[k], negation[m] = m, k
+        k = code_of.get(c)
+        if k is None:
+            k = len(coeff) // 2 + 1
+            code_of[c], code_of[-c] = k, -k
+            coeff[k], coeff[-k] = c, -c
         coded.append((position[alpha], k))
     own = [0] * 729
     for n, k in coded:
@@ -237,7 +217,7 @@ def orbit_and_stabilizer(t, elements=None):
         image = [0] * 729
         for p, k in coded:
             n = moves[p]
-            image[n] = k if sign[n] > 0 else negation[k]
+            image[n] = sign[n] * k
         image = tuple(image)
         if image == own:
             order += 1
@@ -246,7 +226,7 @@ def orbit_and_stabilizer(t, elements=None):
             entries = {}
             for p, _ in coded:
                 n = moves[p]
-                entries[indices[n]] = coeffs[image[n]]
+                entries[indices[n]] = coeff[image[n]]
             orbit.append(Tensor(entries))
     return orbit, order
 

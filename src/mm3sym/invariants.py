@@ -9,14 +9,14 @@ with orbit length l is l times the projection.
 
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic
-from .poly import Polynomial, add_into
+from .cyclotomic import Cyclotomic, ONE
+from .poly import Polynomial, add_into, _signed_sum, _term_str
 from .tensors import Tensor, all_indices, index_is_even, tensor_sum
 from . import group
 
 __all__ = [
     "OrbitClass", "GammaVector", "ClassTableError", "compute_classes",
-    "class_of_index", "CLASS_SIZES", "CLASS_REPRESENTATIVES",
+    "CLASS_SIZES", "CLASS_REPRESENTATIVES",
     "r_sum", "project", "orbit_sum", "gamma_to_tensor", "reynolds",
 ]
 
@@ -102,11 +102,6 @@ def _class_lookup():
     return table
 
 
-def class_of_index(alpha):
-    """Class id 1..12 of an even index, or None."""
-    return _class_lookup().get(alpha)
-
-
 class GammaVector:
     """Coordinates of an invariant tensor in the basis gamma_1..gamma_12."""
 
@@ -147,27 +142,23 @@ class GammaVector:
         return any(self.coords)
 
     def __str__(self):
-        parts = []
-        for i in range(1, 13):
-            p = self[i]
-            if not p:
-                continue
-            s = str(p)
-            if s == "1":
-                body, neg = f"g{i}", False
-            elif s.startswith("-") and len(p.terms) == 1 and "+" not in s and " - " not in s:
-                body, neg = f"{s[1:]}*g{i}", True
-            elif len(p.terms) == 1 and "+" not in s and " - " not in s:
-                body, neg = f"{s}*g{i}", False
-            else:
-                body, neg = f"({s})*g{i}", False
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts) if parts else "0"
+        return _signed_sum(_coord_str(i, p)
+                           for i, p in enumerate(self.coords, start=1) if p)
 
     __repr__ = __str__
+
+
+def _coord_str(i, p):
+    """The nonzero coordinate p at gamma_i as a signed term.  A sum, or
+    one term whose coefficient is a sum and which has variables, is
+    printed in parentheses as a whole."""
+    (m, c), *rest = p.terms.items()
+    if rest or m and sum(1 for q in c.qbasis() if q) > 1:
+        return f"({p})*g{i}", False
+    if not m and c == ONE:
+        return f"g{i}", False
+    body, negate = _term_str(m, c)
+    return f"{body}*g{i}", negate
 
 
 def r_sum(w, i):

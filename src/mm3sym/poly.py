@@ -239,16 +239,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self._sorted_terms():
-            body, negate = _term_str(m, c)
-            if not parts:
-                parts.append("-" + body if negate else body)
-            else:
-                parts.append(("- " if negate else "+ ") + body)
-        return " ".join(parts)
+        return _signed_sum(_term_str(m, c) for m, c in self._sorted_terms())
 
     def __repr__(self):
         return f"<Polynomial {self}>"
@@ -287,6 +278,18 @@ def _mono_str(m):
     return "*".join([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in m])
 
 
+def _signed_sum(terms):
+    """Join (body, sign_is_negative) pairs as "a - b + c", or "0" when
+    there are none."""
+    parts = []
+    for body, negate in terms:
+        if parts:
+            parts.append(("- " if negate else "+ ") + body)
+        else:
+            parts.append("-" + body if negate else body)
+    return " ".join(parts) if parts else "0"
+
+
 def _term_str(m, c):
     """Render one term; returns (body, sign_is_negative)."""
     if m and c == ONE:
@@ -312,12 +315,17 @@ def _term_str(m, c):
 
 # -- parsing ---------------------------------------------------------
 
+# the variable names: a Brent coordinate and an orbit-family parameter
+_BRENT_NAME = r"[xyz]\d+_\d\d"
+_PARAM_NAME = r"[abcdfg]\d*"
+_VAR_RE = re.compile(f"{_BRENT_NAME}|{_PARAM_NAME}")
+
 _TOKEN_RE = re.compile(
     r"\s*("
     r"\d+(?:/\d+)?"       # number
-    r"|[xyz]\d+_\d\d"     # Brent variable
+    f"|{_BRENT_NAME}"
     r"|zb|[ziw]"          # constant
-    r"|[abcdfg]\d*"       # parameter
+    f"|{_PARAM_NAME}"
     r"|[-+*^()]"          # operator
     r"|\S"                # anything else is a bad token
     r")"
@@ -363,9 +371,10 @@ def _new_token(t, text):
         else:
             tok = ("const", Cyclotomic.rational(int(p), int(q)))
     elif c in "abcdfg":
-        tok = ("var", _param_var(t))
+        tok = ("var", ParamId(int(t[1:] or 0), c))
     elif len(t) > 1:
-        tok = ("var", _brent_var(t))
+        tok = ("var", BrentVar("xyz".index(c), int(t[1:-3]),
+                               int(t[-2]), int(t[-1])))
     else:
         bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
         raise PolyParseError(f"bad token at {text[bad.start():]!r}")
@@ -373,22 +382,10 @@ def _new_token(t, text):
     return tok
 
 
-def _brent_var(s):
-    return BrentVar("xyz".index(s[0]), int(s[1:-3]), int(s[-2]), int(s[-1]))
-
-
-def _param_var(s):
-    return ParamId(int(s[1:] or 0), s[0])
-
-
-_VAR_RE = re.compile(r"(?P<brent>[xyz]\d+_\d\d)|(?P<param>[abcdfg]\d*)")
-
-
 def var_from_str(s):
-    m = _VAR_RE.fullmatch(s)
-    if m is None:
+    if _VAR_RE.fullmatch(s) is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return _brent_var(s) if m.lastgroup == "brent" else _param_var(s)
+    return (_TOKENS.get(s) or _new_token(s, s))[1]
 
 
 class _Parser:

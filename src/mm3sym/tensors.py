@@ -51,11 +51,6 @@ class Tensor:
     def __init__(self, entries=None):
         self.entries = {} if entries is None else entries
 
-    @classmethod
-    def basis(cls, alpha, coeff=1):
-        coeff = Polynomial.coerce(coeff)
-        return cls({alpha: coeff} if coeff else {})
-
     def __add__(self, other):
         return Tensor(add_into(dict(self.entries), other.entries.items()))
 

@@ -16,7 +16,7 @@ from mm3sym.tensors import (
     Tensor, all_indices, index_is_even, decode_index, tensor_sum,
 )
 from mm3sym.invariants import (
-    compute_classes, class_of_index, CLASS_SIZES, CLASS_REPRESENTATIVES,
+    compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES,
     GammaVector, project, orbit_sum, gamma_to_tensor, reynolds,
 )
 from mm3sym.catalog import (
@@ -50,7 +50,7 @@ def test_criterion_1_class_table():
     assert tuple(len(c) for c in classes) == (3, 18, 18, 36, 18, 6,
                                               18, 18, 6, 18, 18, 6)
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        assert class_of_index(rep) == cid
+        assert rep in classes[cid - 1].members
     assert sum(1 for a in all_indices() if index_is_even(a)) == 183
 
 
@@ -141,7 +141,8 @@ def test_criterion_8_invariance():
             continue
         total = Tensor()
         for g in G:
-            total = total + group.act_on_tensor(g, Tensor.basis(alpha))
+            total = total + group.act_on_tensor(
+                g, Tensor({alpha: Polynomial.constant(1)}))
         assert total == zero
 
 

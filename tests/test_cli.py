@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -25,12 +26,24 @@ def test_orbit_sum_worked_example():
     assert code == 0
     assert text == ("318*g1 + 214*g2 + 32*g3 - 32*g4 + 32*g5 + 174*g6 "
                     "- 40*g7 + 40*g8\n")
+    # a coordinate that is a sum of constants is parenthesised once
+    code, text = capture(
+        ["orbit-sum", "--type", "27", "--params", "z,1,1,1,1"])
+    assert code == 0
+    assert text == ("(-6 - 12*z)*g1 - 6*g2 + 2*g3 - 2*g4 + 2*g5 "
+                    "+ (-6 + 6*z)*g6 - 2*g7 + 2*g8\n")
 
 
 def test_orbit_sum_symbolic_and_full():
     code, text = capture(["orbit-sum", "--type", "7"])
     assert code == 0
     assert text == "a*g1 + a*g2 + a*g6\n"
+    # the symbolic rows of all 44 families, byte for byte
+    runs = [capture(["orbit-sum", "--type", str(n)]) for n in range(1, 45)]
+    assert {code for code, _ in runs} == {0}
+    digest = hashlib.sha256("".join(t for _, t in runs).encode()).hexdigest()
+    assert digest == (
+        "f5181d51b0ccc588771cf7cc10aa23cfc18849d81befe9726ba69feb0332a6a5")
     code, text = capture(["orbit-sum", "--type", "7", "--full"])
     assert code == 0
     t = Tensor.loads(text)
@@ -205,6 +218,15 @@ def test_error_exit_codes(tmp_path):
     assert code == 3
     code, _ = capture(["check-solution", "--system", str(tmp_path / "x"),
                        "--assignment", str(tmp_path / "y")])
+    assert code == 3
+    # a variable name with a space in it
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps({
+        "mode": "invariant", "multiset": [7], "variables": [" a"],
+        "equations": [{"label": 1, "lhs": "a", "rhs": "1"}]}))
+    (tmp_path / "a.json").write_text('{"a": "1"}')
+    code, _ = capture(["check-solution", "--system", str(spaced),
+                       "--assignment", str(tmp_path / "a.json")])
     assert code == 3
     # a system whose polynomial does not parse
     rec = brent.to_json(brent.generic_system(1))

@@ -1,10 +1,13 @@
 """Every name a module of the package imports, and every private name
-it defines at module level, is used in it.
+it defines at module level, is used in it; every name in a module's
+__all__ is read somewhere in the package, or kept for a stated reason.
 
 A stdlib ast scan: an imported name counts as used when the module
 reads it anywhere or lists it in __all__; a private module-level name
 (a leading underscore, not a dunder) counts as used when the module
-reads it anywhere.
+reads it anywhere; an exported name counts as used when some module
+reads it, as a name or an attribute, outside the top-level statement
+that defines it.
 """
 
 import ast
@@ -28,9 +31,7 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
+        if _is_all(node):
             used |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
@@ -44,26 +45,67 @@ def _stored_names(target):
             yield from _stored_names(elt)
 
 
+def _defined_names(node):
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n for t in node.targets for n in _stored_names(t)]
+    if isinstance(node, ast.AnnAssign):
+        return list(_stored_names(node.target))
+    return []
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def unused_private_names(source):
     tree = ast.parse(source)
     defined = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [n for t in node.targets for n in _stored_names(t)]
-        elif isinstance(node, ast.AnnAssign):
-            names = list(_stored_names(node.target))
-        else:
-            continue
-        for name in names:
+        for name in _defined_names(node):
             if name.startswith("_") and not name.endswith("__"):
                 defined.setdefault(name, node.lineno)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in read)
+
+
+def unused_exports(sources):
+    """The names in some module's __all__ that no module reads outside
+    the top-level statement defining them; sources are module texts."""
+    exported, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            if _is_all(node):
+                exported |= set(ast.literal_eval(node.value))
+                continue
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+            read |= names.difference(_defined_names(node))
+    return sorted(exported - read)
+
+
+# Exported names that no module of the package reads, each with the
+# reason it stays.
+UNREAD_EXPORTS = {
+    "verify_catalog": "package API; bench/ runs it as the catalog workload",
+    "family_tensor": "package API, exported from mm3sym",
+    "compose": "reference route: tests check act_on_tensor is an action",
+    "r_sum": "reference route: tests check project against class sums",
+    "reynolds": "reference route: tests check project against averaging",
+    "trivial_solution": "the rank-27 decomposition ROADMAP item 3 starts from",
+    "identity": "the neutral element of G; tests compare GroupElement() to it",
+    "matrix": "builds the factor matrices of the tests' matrix-level route",
+}
 
 
 def test_scan_finds_unused_names():
@@ -94,3 +136,18 @@ def test_package_has_no_unused_private_names():
              for path in sorted(PACKAGE.glob("*.py"))
              for line, name in unused_private_names(path.read_text())]
     assert found == []
+
+
+def test_scan_finds_unused_exports():
+    sources = [
+        "__all__ = ['f', 'g', 'h', 'K']\ndef f():\n    return f()\n"
+        "def g():\n    pass\nh = 1\nclass K:\n    pass\n",
+        "from . import a\n__all__ = ['k']\ndef k():\n    return a.g(), K\n",
+    ]
+    # f reads only itself, h and k nothing reads
+    assert unused_exports(sources) == ["f", "h", "k"]
+
+
+def test_package_exports_are_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_exports(sources) == sorted(UNREAD_EXPORTS)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -46,8 +47,15 @@ def test_variable_names():
     assert var_from_str("d2") == ParamId(2, "d")
     assert var_from_str("x3_12") == X
     assert var_from_str("y11_23") == BrentVar(1, 11, 2, 3)
-    with pytest.raises(PolyParseError):
-        var_from_str("q1")
+    # a whole name or nothing: padding, constants, numbers and partial
+    # names are rejected, also once the parser has seen the same text
+    for name in (" a", "a ", "x", "z", "zb", "x1_1", "1", "q1"):
+        with pytest.raises(PolyParseError, match="bad variable name"):
+            var_from_str(name)
+        with contextlib.suppress(PolyParseError):
+            parse_polynomial(name)
+        with pytest.raises(PolyParseError, match="bad variable name"):
+            var_from_str(name)
 
 
 def test_ring_axioms():
