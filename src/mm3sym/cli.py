@@ -59,21 +59,47 @@ def _write(path, data, out):
             fh.write(data)
 
 
+def _json_report(report):
+    """The report as json.dumps(rec, indent=1) + "\n", byte for byte.
+    With indent set, the stdlib encodes in pure Python, so only the head
+    goes through it; each certificate is written directly, and its
+    rule/identities tail is encoded once per distinct pair."""
+    rec = {
+        "max_length": report.max_length,
+        "verified": report.verified,
+        "multisets": len(report.certificates) + len(report.survivors),
+        "rule_counts": report.rule_counts,
+        "survivors": [list(m) for m in report.survivors],
+        "facts": dict(sorted(report.facts.items())),
+    }
+    if not report.certificates:
+        rec["certificates"] = []
+        return json.dumps(rec, indent=1) + "\n"
+    tails = {}
+    items = []
+    for c in report.certificates:
+        key = c.rule, c.identities
+        tail = tails.get(key)
+        if tail is None:
+            # the pair at indent 1, shifted to a certificate's indent 3,
+            # without its opening brace
+            tail = tails[key] = json.dumps(
+                {"rule": c.rule, "identities": c.identities}, indent=1,
+            ).replace("\n", "\n  ")[2:]
+        items.append('  {\n   "multiset": [\n    '
+                     + ",\n    ".join(map(str, c.multiset))
+                     + "\n   ],\n" + tail)
+    # the head without its closing brace, then the certificates array
+    return (json.dumps(rec, indent=1)[:-2] + ',\n "certificates": [\n'
+            + ",\n".join(items) + "\n ]\n}\n")
+
+
 def _cmd_verify(args, out):
     if not 1 <= args.max_length <= prover.MAX_LENGTH:
         raise UsageError(f"--max-length must be between 1 and {prover.MAX_LENGTH}")
     report = prover.verify_theorem(args.max_length)
     if args.report == "json":
-        rec = {
-            "max_length": report.max_length,
-            "verified": report.verified,
-            "multisets": len(report.certificates) + len(report.survivors),
-            "rule_counts": report.rule_counts,
-            "survivors": [list(m) for m in report.survivors],
-            "facts": dict(sorted(report.facts.items())),
-            "certificates": [c.to_json() for c in report.certificates],
-        }
-        out.write(json.dumps(rec, indent=1) + "\n")
+        out.write(_json_report(report))
     else:
         out.write(report.summary() + "\n")
         out.write("certificates by rule:\n")

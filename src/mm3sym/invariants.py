@@ -155,8 +155,8 @@ def _coord_str(i, p):
     (m, c), *rest = p.terms.items()
     if rest or m and sum(1 for q in c.qbasis() if q) > 1:
         return f"({p})*g{i}", False
-    if not m and c == ONE:
-        return f"g{i}", False
+    if not m and (c == ONE or c == -ONE):
+        return f"g{i}", c != ONE
     body, negate = _term_str(m, c)
     return f"{body}*g{i}", negate
 

@@ -63,13 +63,6 @@ class EliminationCertificate:
     rule: str
     identities: tuple         # names of the verified facts the rule cites
 
-    def to_json(self):
-        return {
-            "multiset": list(self.multiset),
-            "rule": self.rule,
-            "identities": list(self.identities),
-        }
-
 
 @dataclass
 class TheoremReport:
@@ -457,13 +450,20 @@ def verify_theorem(max_length=MAX_LENGTH):
     certificates = []
     survivors = []
     rule_counts = {rule: 0 for rule in RULES}
+    # a certificate's rule and identities depend only on the type set,
+    # so each type set is certified once, on its first multiset
+    by_types = {}
     for multiset in enumerate_multisets(max_length):
-        cert = _certificate_for(multiset, facts)
-        if cert is None:
+        types = frozenset(multiset)
+        if types not in by_types:
+            by_types[types] = _certificate_for(multiset, facts)
+        first = by_types[types]
+        if first is None:
             survivors.append(multiset)
         else:
-            certificates.append(cert)
-            rule_counts[cert.rule] += 1
+            certificates.append(
+                EliminationCertificate(multiset, first.rule, first.identities))
+            rule_counts[first.rule] += 1
     used = set()
     for cert in certificates:
         used.update(cert.identities)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from mm3sym.cli import _build_parser, run
 from mm3sym import brent, prover
@@ -32,6 +35,16 @@ def test_orbit_sum_worked_example():
     assert code == 0
     assert text == ("(-6 - 12*z)*g1 - 6*g2 + 2*g3 - 2*g4 + 2*g5 "
                     "+ (-6 + 6*z)*g6 - 2*g7 + 2*g8\n")
+
+
+def test_orbit_sum_unit_coordinates():
+    # a coordinate of -1 prints as -g, as Polynomial prints -a
+    for argv, want in (
+            (["--type", "7", "--params=-1"], "-g1 - g2 - g6\n"),
+            (["--type", "7", "--params=1"], "g1 + g2 + g6\n"),
+            (["--type", "7", "--params=-1/2"], "-1/2*g1 - 1/2*g2 - 1/2*g6\n"),
+            (["--type", "6", "--params=1"], "2*g1 - g2 + 2*g6\n")):
+        assert capture(["orbit-sum"] + argv) == (0, want)
 
 
 def test_orbit_sum_symbolic_and_full():
@@ -73,6 +86,53 @@ def test_verify_json():
     assert rec["verified"] is True
     assert rec["survivors"] == []
     assert rec["multisets"] == len(rec["certificates"])
+
+
+def _stdlib_report(report):
+    """The JSON report through the stdlib's indented encoder."""
+    rec = {
+        "max_length": report.max_length,
+        "verified": report.verified,
+        "multisets": len(report.certificates) + len(report.survivors),
+        "rule_counts": report.rule_counts,
+        "survivors": [list(m) for m in report.survivors],
+        "facts": dict(sorted(report.facts.items())),
+        "certificates": [dataclasses.asdict(c) for c in report.certificates],
+    }
+    return json.dumps(rec, indent=1) + "\n"
+
+
+def test_verify_report_bytes():
+    # the headline reports, byte for byte
+    for report, digest in (
+            ("json",
+             "15e4fd28fe530eb13bd138ecd7c1866cc4713fc090a5bba7e96ac67f6d686440"),
+            ("text",
+             "0a9f35de8f2ffc06bb8b4e414998930e18e4439f250ab873cbc7dbd1ec9a71ed")):
+        code, text = capture(["verify", "--max-length", "23",
+                              "--report", report])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_length", [1, 6, 12, 23])
+def test_verify_json_matches_stdlib_encoder(max_length):
+    code, text = capture(["verify", "--max-length", str(max_length),
+                          "--report", "json"])
+    assert code == 0
+    assert text == _stdlib_report(prover.verify_theorem(max_length))
+
+
+def test_verify_json_with_survivors(monkeypatch):
+    report = prover.TheoremReport(
+        max_length=5, certificates=[], survivors=[(7, 7), (9,)],
+        facts={"final.target": "target tensor has (g3, g5) = (1, 0)"},
+        rule_counts={rule: 0 for rule in prover.RULES})
+    monkeypatch.setattr(prover, "verify_theorem", lambda max_length: report)
+    code, text = capture(["verify", "--max-length", "5", "--report", "json"])
+    assert code == 1
+    assert text == _stdlib_report(report)
+    assert '"certificates": []' in text
 
 
 def test_multisets():

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from mm3sym.invariants import orbit_sum, GammaVector, gamma_to_tensor
 from mm3sym.tensors import tensor_sum
 from mm3sym.catalog import all_families, get_family
 from mm3sym import prover
+from mm3sym.cli import run
 
 # frozen count of nonempty type multisets of total length <= 23
 GOLDEN_MULTISET_COUNT = 14623
@@ -157,7 +160,20 @@ def test_proof_error_on_corrupted_table():
 
 
 def test_certificate_json():
-    report = prover.verify_theorem(5)
-    rec = report.certificates[0].to_json()
+    out = io.StringIO()
+    assert run(["verify", "--max-length", "5", "--report", "json"], out=out) == 0
+    rec = json.loads(out.getvalue())["certificates"][0]
     assert set(rec) == {"multiset", "rule", "identities"}
     assert rec["rule"] in prover.RULES
+
+
+def test_certification_per_type_set_matches_direct_route():
+    # verify_theorem certifies each type set once; the rule logic on
+    # every multiset on its own must give the same certificates
+    report = prover.verify_theorem(23)
+    got = {c.multiset: c for c in report.certificates}
+    got.update((m, None) for m in report.survivors)
+    multisets = prover.enumerate_multisets(23)
+    assert len(got) == len(multisets)
+    for m in multisets:
+        assert got[m] == prover._certificate_for(m, report.facts)
