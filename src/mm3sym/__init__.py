@@ -7,7 +7,7 @@ from .cyclotomic import Cyclotomic
 from .poly import Polynomial, ParamId, BrentVar, parse_polynomial, parse_cyclotomic
 from .tensors import Tensor, tensor_from_factors, pi12, index_is_even
 from .invariants import GammaVector, compute_classes, project, orbit_sum
-from .catalog import family_tensor, matmul_tensor, verify_catalog
+from .catalog import matmul_tensor, verify_catalog
 from .prover import verify_theorem, enumerate_multisets
 from .brent import generic_system, invariant_system
 
@@ -16,7 +16,7 @@ __all__ = [
     "parse_polynomial", "parse_cyclotomic",
     "Tensor", "tensor_from_factors", "pi12", "index_is_even",
     "GammaVector", "compute_classes", "project", "orbit_sum",
-    "family_tensor", "matmul_tensor", "verify_catalog",
+    "matmul_tensor", "verify_catalog",
     "verify_theorem", "enumerate_multisets",
     "generic_system", "invariant_system",
 ]

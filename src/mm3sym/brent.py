@@ -44,23 +44,12 @@ class Equation(NamedTuple):
         return f"{self.lhs} = {self.rhs}"
 
 
-class BrentSystem:
-    __slots__ = ("mode", "rank", "multiset", "variables", "equations")
-
-    def __init__(self, mode, variables, equations, rank=None, multiset=None):
-        assert mode in ("generic", "invariant")
-        self.mode = mode
-        self.rank = rank
-        self.multiset = None if multiset is None else tuple(multiset)
-        self.variables = tuple(variables)
-        self.equations = tuple(equations)
-
-    def __eq__(self, other):
-        return (isinstance(other, BrentSystem)
-                and (self.mode, self.rank, self.multiset) ==
-                    (other.mode, other.rank, other.multiset)
-                and self.variables == other.variables
-                and self.equations == other.equations)
+class BrentSystem(NamedTuple):
+    mode: str                 # "generic" | "invariant"
+    variables: tuple
+    equations: tuple
+    rank: int = None          # generic systems
+    multiset: tuple = None    # invariant systems
 
     def __repr__(self):
         tag = self.rank if self.mode == "generic" else list(self.multiset)
@@ -79,7 +68,7 @@ def generic_system(rank):
     # (i, k) of factor f
     cols = [[(BrentVar(f, j, i, k), 1) for j in range(1, rank + 1)]
             for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3)]
-    variables = [col[j][0] for j in range(rank) for col in cols]
+    variables = tuple(col[j][0] for j in range(rank) for col in cols)
     target = matmul_tensor()
     equations = []
     for i1 in (1, 2, 3):
@@ -98,7 +87,7 @@ def generic_system(rank):
                                 {m: ONE for m in zip(xs, ys, zs)})
                             rhs = target.coeff(alpha).constant_value()
                             equations.append(Equation(alpha, lhs, rhs))
-    return BrentSystem("generic", variables, equations, rank=rank)
+    return BrentSystem("generic", variables, tuple(equations), rank=rank)
 
 
 def invariant_system(multiset):
@@ -118,11 +107,12 @@ def invariant_system(multiset):
         rename = lambda v: ParamId(slot, v.letter)
         for acc, p in zip(sums, gamma_row(fid).coords):
             add_into(acc, p.map_vars(rename).terms.items())
-    equations = [
+    equations = tuple(
         Equation(m, Polynomial(sums[m - 1]), ONE if m in (1, 3, 9) else ZERO)
         for m in range(1, 13)
-    ]
-    return BrentSystem("invariant", variables, equations, multiset=multiset)
+    )
+    return BrentSystem("invariant", tuple(variables), equations,
+                       multiset=multiset)
 
 
 def check_solution(system, assignment):
@@ -200,21 +190,21 @@ def parse_system(rec):
         rec = json.loads(rec)
     try:
         mode = rec["mode"]
-        variables = [var_from_str(s) for s in rec["variables"]]
-        equations = [
+        variables = tuple(var_from_str(s) for s in rec["variables"])
+        equations = tuple(
             Equation(
                 _label_from_json(e["label"]),
                 parse_polynomial(e["lhs"]),
                 parse_cyclotomic(e["rhs"]),
             )
             for e in rec["equations"]
-        ]
+        )
         _check_declared(variables, equations)
         if mode == "generic":
             return BrentSystem(mode, variables, equations, rank=rec["rank"])
         if mode == "invariant":
             return BrentSystem(mode, variables, equations,
-                               multiset=rec["multiset"])
+                               multiset=tuple(rec["multiset"]))
     except (KeyError, TypeError, PolyParseError, ValueError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc
     raise BrentError(f"bad system mode: {mode!r}")

@@ -11,6 +11,7 @@ source of the families: edit the catalog there.
 import json
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import group
 from .cyclotomic import Cyclotomic
@@ -19,7 +20,7 @@ from .tensors import Tensor, pi12, tensor_from_factors
 
 __all__ = [
     "OrbitFamily", "CatalogError", "get_family", "all_families",
-    "family_tensor", "matmul_tensor",
+    "matmul_tensor",
     "LINEAR_SCALING_FAMILIES", "verify_catalog",
 ]
 
@@ -32,20 +33,13 @@ class CatalogError(Exception):
     """A family failed an integrity check."""
 
 
-class OrbitFamily:
-    __slots__ = ("id", "length", "params", "power", "scale", "factors")
-
-    def __init__(self, fid, length, params, power, scale, factors):
-        self.id = fid
-        self.length = length
-        self.params = params  # parameter letters in order
-        self.power = power    # "cube" | "square" | "triple"
-        self.scale = scale    # Polynomial or None
-        self.factors = factors  # parsed factor matrices
-
-    @property
-    def param_count(self):
-        return len(self.params)
+class OrbitFamily(NamedTuple):
+    id: int
+    length: int
+    params: str               # parameter letters in order
+    power: str                # "cube" | "square" | "triple"
+    scale: Polynomial         # or None
+    factors: tuple            # parsed factor matrices
 
     def param_ids(self, slot=0):
         return [ParamId(slot, letter) for letter in self.params]
@@ -57,9 +51,9 @@ class OrbitFamily:
         factors = self.factors
         scale = self.scale
         if params is not None:
-            if len(params) != self.param_count:
+            if len(params) != len(self.params):
                 raise CatalogError(
-                    f"family {self.id} takes {self.param_count} parameters, "
+                    f"family {self.id} takes {len(self.params)} parameters, "
                     f"got {len(params)}"
                 )
             assignment = {
@@ -92,10 +86,10 @@ class OrbitFamily:
 
     @classmethod
     def from_json(cls, rec):
-        factors = [
+        factors = tuple(
             tuple(tuple(parse_polynomial(s) for s in row) for row in m)
             for m in rec["factors"]
-        ]
+        )
         scale = parse_polynomial(rec["scale"]) if "scale" in rec else None
         return cls(rec["id"], rec["length"], "".join(rec["params"]),
                    rec["power"], scale, factors)
@@ -117,10 +111,6 @@ def get_family(fid):
     if fam is None:
         raise CatalogError(f"no orbit family with id {fid}")
     return fam
-
-
-def family_tensor(fid, params=None, slot=0):
-    return get_family(fid).tensor(params, slot)
 
 
 def matmul_tensor():

@@ -72,9 +72,6 @@ def _json_report(report):
         "survivors": [list(m) for m in report.survivors],
         "facts": dict(sorted(report.facts.items())),
     }
-    if not report.certificates:
-        rec["certificates"] = []
-        return json.dumps(rec, indent=1) + "\n"
     tails = {}
     items = []
     for c in report.certificates:
@@ -89,9 +86,10 @@ def _json_report(report):
         items.append('  {\n   "multiset": [\n    '
                      + ",\n    ".join(map(str, c.multiset))
                      + "\n   ],\n" + tail)
+    array = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
     # the head without its closing brace, then the certificates array
-    return (json.dumps(rec, indent=1)[:-2] + ',\n "certificates": [\n'
-            + ",\n".join(items) + "\n ]\n}\n")
+    return (json.dumps(rec, indent=1)[:-2] + ',\n "certificates": '
+            + array + "\n}\n")
 
 
 def _cmd_verify(args, out):

@@ -291,26 +291,24 @@ def _signed_sum(terms):
 
 
 def _term_str(m, c):
-    """Render one term; returns (body, sign_is_negative)."""
+    """Render one term; returns (body, sign_is_negative).  The sign is
+    read from the coefficient's coordinates in {1, z, i, i*z}; one with
+    more than one nonzero coordinate is a sum and keeps its own signs,
+    in parentheses."""
     if m and c == ONE:
         return _mono_str(m), False
-    q = c.qbasis()
-    nonzero = [x for x in q if x != 0]
+    nonzero = [x for x in c.qbasis() if x != 0]
+    if len(nonzero) > 1:
+        return (f"({c})*{_mono_str(m)}" if m else f"({c})"), False
+    # a rational multiple of 1, z, i or i*z
+    neg = bool(nonzero) and nonzero[0] < 0
+    if neg:
+        c = -c
     if not m:
-        s = str(c)
-        if s.startswith("-") and len(nonzero) == 1:
-            return s[1:], True
-        if len(nonzero) > 1:
-            return "(" + s + ")", False
-        return s, False
-    if len(nonzero) == 1:
-        # simple coefficient: rational multiple of 1, z, i, or i*z
-        neg = nonzero[0] < 0
-        cc = -c if neg else c
-        if cc == ONE:
-            return _mono_str(m), neg
-        return f"{cc}*{_mono_str(m)}", neg
-    return f"({c})*{_mono_str(m)}", False
+        return str(c), neg
+    if c == ONE:
+        return _mono_str(m), neg
+    return f"{c}*{_mono_str(m)}", neg
 
 
 # -- parsing ---------------------------------------------------------

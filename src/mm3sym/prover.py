@@ -9,8 +9,8 @@ length-18 families, the diagonal-part identities -- are re-derived
 symbolically at run time before any certificate is issued.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic
 from .poly import Polynomial, ParamId, parse_polynomial
@@ -57,15 +57,13 @@ def remaining_types():
     return frozenset(all_families()) - handled
 
 
-@dataclass(frozen=True)
-class EliminationCertificate:
+class EliminationCertificate(NamedTuple):
     multiset: tuple           # sorted family ids, with multiplicity
     rule: str
     identities: tuple         # names of the verified facts the rule cites
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     max_length: int
     certificates: list
     survivors: list

@@ -123,7 +123,7 @@ def test_invariant_counts():
     for multiset in rng.sample(pool, 10):
         s = brent.invariant_system(multiset)
         assert len(s.equations) == 12
-        want = sum(get_family(fid).param_count for fid in multiset)
+        want = sum(len(get_family(fid).params) for fid in multiset)
         assert len(s.variables) == want
     with pytest.raises(brent.BrentError):
         brent.invariant_system(())
@@ -189,6 +189,16 @@ def test_json_roundtrip():
         brent.parse_system(json.dumps(rec))
     with pytest.raises(brent.BrentError):
         brent.export(systems[0], "latex")
+
+
+def test_parse_system_rejects_bad_records():
+    system = brent.invariant_system((9, 5))
+    rec = json.loads(brent.export(system, "json"))
+    parsed = brent.parse_system(rec)
+    assert parsed == system and hash(parsed) == hash(system)
+    for key, value in (("multiset", 5), ("mode", "other")):
+        with pytest.raises(brent.BrentError):
+            brent.parse_system({**rec, key: value})
 
 
 def test_text_export():

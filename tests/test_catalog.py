@@ -8,7 +8,7 @@ from mm3sym import catalog, group
 from mm3sym.poly import ParamId, parse_polynomial
 from mm3sym.tensors import pi12
 from mm3sym.catalog import (
-    all_families, get_family, family_tensor, matmul_tensor,
+    all_families, get_family, matmul_tensor,
     verify_catalog, CatalogError, OrbitFamily,
     LINEAR_SCALING_FAMILIES,
 )
@@ -49,7 +49,7 @@ def test_fresh_parameters_per_slot():
 def test_concrete_parameters():
     fam = get_family(9)
     t = fam.tensor([1, 0])
-    assert t == family_tensor(9, [1, 0])
+    assert t == get_family(9).tensor([1, 0])
     assert t.coeff(((1, 1), (1, 1), (1, 1))) == parse_polynomial("1")
     with pytest.raises(CatalogError):
         fam.tensor([1])
@@ -86,6 +86,9 @@ def test_all_families_is_packaged_catalog():
         assert fam.length == rec["length"]
         assert fam.params == "".join(rec["params"])
         assert fam.power == rec["power"]
+        # a record: equal by value to a fresh parse, and hashable
+        assert fam == OrbitFamily.from_json(rec)
+        assert hash(fam) == hash(OrbitFamily.from_json(rec))
 
 
 def test_verify_catalog_full():

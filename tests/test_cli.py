@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -97,7 +96,7 @@ def _stdlib_report(report):
         "rule_counts": report.rule_counts,
         "survivors": [list(m) for m in report.survivors],
         "facts": dict(sorted(report.facts.items())),
-        "certificates": [dataclasses.asdict(c) for c in report.certificates],
+        "certificates": [c._asdict() for c in report.certificates],
     }
     return json.dumps(rec, indent=1) + "\n"
 

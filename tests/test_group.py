@@ -10,7 +10,7 @@ from mm3sym.group import (
 )
 from mm3sym.poly import Polynomial
 from mm3sym.tensors import Tensor, decode_index, matrix, tensor_from_factors
-from mm3sym.catalog import all_families, family_tensor, matmul_tensor
+from mm3sym.catalog import all_families, get_family, matmul_tensor
 
 
 def rand_tensor(rng, size=5):
@@ -117,7 +117,7 @@ def test_coded_orbit_matches_action_route():
     # the degenerate instance whose orbit is shorter than its family's
     for fid, params in ((41, [1, 2]), (17, [3]), (20, [1, -1]),
                         (23, [1, 2, 3, 4, 5]), (5, [0, 1]), (9, [1, 0])):
-        cases.append((family_tensor(fid, params), "G"))
+        cases.append((get_family(fid).tensor(params), "G"))
     for t, which in cases:
         elements = enumerate_group(which)
         orbit, fixed = _action_route(t, elements)

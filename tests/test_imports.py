@@ -11,6 +11,8 @@ that defines it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import mm3sym
@@ -98,7 +100,6 @@ def unused_exports(sources):
 # reason it stays.
 UNREAD_EXPORTS = {
     "verify_catalog": "package API; bench/ runs it as the catalog workload",
-    "family_tensor": "package API, exported from mm3sym",
     "compose": "reference route: tests check act_on_tensor is an action",
     "r_sum": "reference route: tests check project against class sums",
     "reynolds": "reference route: tests check project against averaging",
@@ -151,3 +152,15 @@ def test_scan_finds_unused_exports():
 def test_package_exports_are_read():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_exports(sources) == sorted(UNREAD_EXPORTS)
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    # records are named tuples, so no process pays for dataclasses and
+    # the inspect, ast and dis modules it loads
+    code = ("import sys\nbefore = set(sys.modules)\nimport mm3sym.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         cwd=PACKAGE.parent).stdout.split()
+    assert "mm3sym.cli" in out
+    assert not {"dataclasses", "inspect"} & set(out)
