@@ -18,7 +18,7 @@ from .poly import (
     var_from_str, add_into, PolyParseError, _KEYS, _NAMES,
 )
 from .prover import gamma_row
-from .catalog import get_family, matmul_tensor
+from .catalog import CatalogError, get_family, matmul_tensor
 
 __all__ = [
     "BrentSystem", "BrentError", "generic_system", "invariant_system",
@@ -63,12 +63,11 @@ def generic_system(rank):
     the matrix multiplication tensor."""
     if rank < 1:
         raise BrentError("rank must be >= 1")
+    variables = _coordinates(rank)
     # one (variable, 1) factor per coordinate, shared by every monomial
     # that uses it; column 9*f + 3*(i-1) + (k-1) lists the terms' entry
     # (i, k) of factor f
-    cols = [[(BrentVar(f, j, i, k), 1) for j in range(1, rank + 1)]
-            for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3)]
-    variables = tuple(col[j][0] for j in range(rank) for col in cols)
+    cols = [[(v, 1) for v in variables[c::27]] for c in range(27)]
     target = matmul_tensor()
     equations = []
     for i1 in (1, 2, 3):
@@ -90,6 +89,20 @@ def generic_system(rank):
     return BrentSystem("generic", variables, tuple(equations), rank=rank)
 
 
+def _coordinates(rank):
+    """The generic system's 27*rank variables in export order: term by
+    term, and within a term factor by factor, row by row."""
+    return tuple(BrentVar(f, j, i, k) for j in range(1, rank + 1)
+                 for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3))
+
+
+def _parameters(multiset):
+    """The invariant system's variables: each entry's family parameters
+    in the entry's slot."""
+    return tuple(v for slot, fid in enumerate(multiset, start=1)
+                 for v in get_family(fid).param_ids(slot))
+
+
 def invariant_system(multiset):
     """12 equations stating that the orbit sums of the multiset, with
     fresh parameters per slot, add up to the target's invariant
@@ -99,11 +112,9 @@ def invariant_system(multiset):
     multiset = tuple(multiset)
     if not multiset:
         raise BrentError("multiset must be nonempty")
-    variables = []
+    variables = _parameters(multiset)
     sums = [{} for _ in range(12)]
     for slot, fid in enumerate(multiset, start=1):
-        fam = get_family(fid)
-        variables.extend(fam.param_ids(slot))
         rename = lambda v: ParamId(slot, v.letter)
         for acc, p in zip(sums, gamma_row(fid).coords):
             add_into(acc, p.map_vars(rename).terms.items())
@@ -111,8 +122,7 @@ def invariant_system(multiset):
         Equation(m, Polynomial(sums[m - 1]), ONE if m in (1, 3, 9) else ZERO)
         for m in range(1, 13)
     )
-    return BrentSystem("invariant", tuple(variables), equations,
-                       multiset=multiset)
+    return BrentSystem("invariant", variables, equations, multiset=multiset)
 
 
 def check_solution(system, assignment):
@@ -201,11 +211,27 @@ def parse_system(rec):
         )
         _check_declared(variables, equations)
         if mode == "generic":
-            return BrentSystem(mode, variables, equations, rank=rec["rank"])
+            rank = rec["rank"]
+            if type(rank) is not int or rank < 1:
+                raise BrentError(
+                    f"bad system record: rank {rank!r} is not a positive int")
+            if len(variables) != 27 * rank or variables != _coordinates(rank):
+                raise BrentError("bad system record: variables are not the "
+                                 f"coordinates of rank {rank}")
+            return BrentSystem(mode, variables, equations, rank=rank)
         if mode == "invariant":
+            multiset = rec["multiset"]
+            if not (isinstance(multiset, list) and multiset
+                    and all(type(fid) is int for fid in multiset)):
+                raise BrentError(f"bad system record: multiset {multiset!r} "
+                                 "is not a nonempty list of family ids")
+            if variables != _parameters(multiset):
+                raise BrentError("bad system record: variables are not the "
+                                 f"parameters of multiset {multiset}")
             return BrentSystem(mode, variables, equations,
-                               multiset=tuple(rec["multiset"]))
-    except (KeyError, TypeError, PolyParseError, ValueError) as exc:
+                               multiset=tuple(multiset))
+    except (KeyError, TypeError, PolyParseError, ValueError,
+            CatalogError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc
     raise BrentError(f"bad system mode: {mode!r}")
 

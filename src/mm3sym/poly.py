@@ -318,26 +318,50 @@ _BRENT_NAME = r"[xyz]\d+_\d\d"
 _PARAM_NAME = r"[abcdfg]\d*"
 _VAR_RE = re.compile(f"{_BRENT_NAME}|{_PARAM_NAME}")
 
+# an atom is a variable, a number or a constant; a factor is an atom
+# with an optional integer exponent
+_ATOM = rf"{_BRENT_NAME}|\d+(?:/\d+)?|zb|[ziw]|{_PARAM_NAME}"
+_FACTOR = rf"(?:{_ATOM})(?:\^\d+(?![\d/]))?"
+
+# A product written without spaces, such as x1_11*y1_11*z1_11 or
+# 2*a^2*b, is one token, unless a ^ follows it: then it ends before its
+# last atom, which takes the exponent as a token of its own.  It never
+# ends inside an atom (zb, a12, 1/2), so it splits the text where
+# single atoms would.  An exponent is one token with its integer, so no
+# product starts after ^.
 _TOKEN_RE = re.compile(
     r"\s*("
-    r"\d+(?:/\d+)?"       # number
-    f"|{_BRENT_NAME}"
-    r"|zb|[ziw]"          # constant
-    f"|{_PARAM_NAME}"
-    r"|[-+*^()]"          # operator
+    r"[-+*()]"
+    rf"|{_FACTOR}(?:\*{_FACTOR})*(?![\w/]|\s*\^)"
+    r"|\^\s*\d+(?:/\d+)?"
+    f"|{_ATOM}"
+    r"|\^"
     r"|\S"                # anything else is a bad token
     r")"
 )
 
-# token text -> (kind, value), so that each text is resolved once: the
-# operators and constants are fixed, numbers and variable names are
-# added as they are first seen.  The kinds are the operators, "const"
-# (a Cyclotomic), "var" (a variable) and "int" (a pair of the int and
-# its Cyclotomic, for a number that may also be an exponent).
-_TOKENS = {op: (op, op) for op in "-+*^()"}
+
+class _TokenTable(dict):
+    """Token text -> token, so that each text is resolved once; a missing
+    factor text is resolved on lookup.  An operator's token is (op, op),
+    and an exponent's ("^", its integer), or ("^", None) when no integer
+    follows.  A factor's token is (kind, (x, e), key): kind "var" with
+    the pair (variable, e) and the variable's sort key, or "const" with
+    the constant's power and no key.  Every monomial shares the pairs.
+    A product is not stored; its token is ("run", text)."""
+
+    __slots__ = ()
+
+    def __missing__(self, t):
+        return _new_token(t, t)
+
+
+_TOKENS = _TokenTable((op, (op, op)) for op in "-+*()")
+_TOKENS["^"] = ("^", None)
 _TOKENS.update(
-    (name, ("const", c))
+    (name, ("const", (c, 1), None))
     for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
+_FACTOR_TOKEN = _TOKENS.__getitem__
 _END = (None, None)
 
 
@@ -346,33 +370,45 @@ class PolyParseError(ValueError):
 
 
 def _tokenize(text):
-    """One regex pass; the tokens end with the _END sentinel."""
+    """One regex pass; the tokens end with the _END sentinel.  A product
+    gets a new ("run", text) token, and every other text is read from
+    _TOKENS or resolved into it."""
     get = _TOKENS.get
-    tokens = [get(t) or _new_token(t, text) for t in _TOKEN_RE.findall(text)]
+    tokens = [get(t) or (("run", t) if "*" in t else _new_token(t, text))
+              for t in _TOKEN_RE.findall(text)]
     tokens.append(_END)
     return tokens
 
 
 def _new_token(t, text):
-    """Classify a token text not in _TOKENS by its first character and
-    store it there.  A bad token raises, and a number with a zero
-    denominator becomes a "zero" token that the parser rejects where it
-    stands; neither is stored."""
+    """Resolve a token text that is not a product and store it in
+    _TOKENS.  A bad token raises.  A number with a zero denominator
+    becomes a "zero" token that the parser rejects where it stands, and
+    an exponent that is not an integer a ("^", None) token; neither is
+    stored."""
+    base, _, e = t.partition("^")
     c = t[0]
-    if c.isdecimal():
+    if not base:
+        e = e.lstrip()
+        if not e.isdecimal():
+            return ("^", None)
+        tok = ("^", int(e))
+    elif e:
+        tok = _TOKENS[base]
+        if tok[0] == "zero":
+            return tok
+        tok = _power(tok[0], tok[1][0], int(e))
+    elif c.isdecimal():
         p, _, q = t.partition("/")
-        if not q:
-            n = int(p)
-            tok = ("int", (n, Cyclotomic.coerce(n)))
-        elif not int(q):
-            return ("zero", t)
-        else:
-            tok = ("const", Cyclotomic.rational(int(p), int(q)))
+        if q and not int(q):
+            return ("zero", t, None)
+        tok = _power("const",
+                     Cyclotomic.rational(int(p), int(q) if q else None), 1)
     elif c in "abcdfg":
-        tok = ("var", ParamId(int(t[1:] or 0), c))
+        tok = _power("var", ParamId(int(t[1:] or 0), c), 1)
     elif len(t) > 1:
-        tok = ("var", BrentVar("xyz".index(c), int(t[1:-3]),
-                               int(t[-2]), int(t[-1])))
+        tok = _power("var", BrentVar("xyz".index(c), int(t[1:-3]),
+                                     int(t[-2]), int(t[-1])), 1)
     else:
         bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
         raise PolyParseError(f"bad token at {text[bad.start():]!r}")
@@ -380,10 +416,19 @@ def _new_token(t, text):
     return tok
 
 
+def _power(kind, x, e):
+    """The factor token of the atom or Polynomial x to the power e.  It
+    keeps e, whose parity says whether a unary minus before x survives;
+    a variable to the power 0 is the constant 1."""
+    if kind != "var":
+        return (kind, (x ** e, e), None)
+    return ("var", (x, e), _KEYS[x]) if e else ("const", (ONE, 0), None)
+
+
 def var_from_str(s):
     if _VAR_RE.fullmatch(s) is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return (_TOKENS.get(s) or _new_token(s, s))[1]
+    return _TOKENS[s][1][0]
 
 
 class _Parser:
@@ -394,7 +439,8 @@ class _Parser:
         factor := {-} atom [^ integer]
         atom   := number | z | zb | i | w | variable | ( expr )
 
-    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2."""
+    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  A "run"
+    token stands for factors joined by *, none with a unary minus."""
 
     __slots__ = ("tokens", "pos")
 
@@ -403,79 +449,98 @@ class _Parser:
         self.pos = 0
 
     def expr(self):
-        """The term dict of a sum: one dict, not a copy per term."""
+        """The term dict of a sum: one dict, not a copy per term.  Each
+        product folds its numbers, constants and variables into one
+        coefficient and a list of (variable, exponent) pairs; only a
+        parenthesised factor is multiplied as a Polynomial.  The pairs
+        are kept in text order while their sort keys increase, as in
+        every printed monomial, and merged and sorted only otherwise."""
         tokens = self.tokens
+        pos = self.pos
         terms = {}
-        kind = tokens[self.pos][0]
+        kind = tokens[pos][0]
         while True:
             negate = kind == "-"
             if negate or kind == "+":
-                self.pos += 1
-            items = self.term()
-            if negate:
-                items = [(m, -c) for m, c in items]
-            add_into(terms, items)
-            kind = tokens[self.pos][0]
+                pos += 1
+            coeff = ONE
+            pairs = []
+            last = ()    # the key of the last pair; () is below every key
+            ordered = True
+            polys = ()
+            while True:
+                tok = tokens[pos]
+                kind = tok[0]
+                pos += 1
+                minus = False
+                while kind == "-":
+                    minus = not minus
+                    tok = tokens[pos]
+                    kind = tok[0]
+                    pos += 1
+                if kind == "run":
+                    factors = map(_FACTOR_TOKEN, tok[1].split("*"))
+                    if minus:    # keep the first factor for the sign
+                        factors = list(factors)
+                else:
+                    if kind == "(":
+                        self.pos = pos
+                        tok = ("poly", (Polynomial(self.expr()), 1), None)
+                        pos = self.pos
+                        if tokens[pos][0] != ")":
+                            raise PolyParseError("missing closing parenthesis")
+                        pos += 1
+                    elif kind == "zero":
+                        raise PolyParseError(f"zero denominator in {tok[1]!r}")
+                    elif kind != "var" and kind != "const":
+                        raise PolyParseError(f"unexpected token {kind!r}")
+                    if tokens[pos][0] == "^":
+                        e = tokens[pos][1]
+                        pos += 1
+                        if e is None:
+                            raise PolyParseError("exponent must be an integer")
+                        tok = _power(tok[0], tok[1][0], e)
+                    factors = (tok,)
+                for kind, x, k in factors:
+                    if kind == "var":
+                        if k <= last:
+                            ordered = False
+                        last = k
+                        pairs.append(x)
+                    elif kind == "const":
+                        coeff = coeff * x[0]
+                    elif kind == "poly":
+                        polys += (x[0],)
+                    else:
+                        raise PolyParseError(f"zero denominator in {x!r}")
+                # a unary minus negates the first factor, before its exponent
+                if minus and factors[0][1][1] & 1:
+                    coeff = -coeff
+                kind = tokens[pos][0]
+                if kind != "*":
+                    break
+                pos += 1
+            if coeff is ONE or coeff:
+                if negate:
+                    coeff = -coeff
+                if not ordered:
+                    exps = {}
+                    for v, e in pairs:
+                        exps[v] = exps.get(v, 0) + e
+                    pairs = sorted(exps.items(), key=_item_key)
+                mono = tuple(pairs)
+                if polys:
+                    out = Polynomial({mono: coeff})
+                    for p in polys:
+                        out = out * p
+                    add_into(terms, out.terms.items())
+                elif mono in terms:
+                    add_into(terms, ((mono, coeff),))
+                else:
+                    terms[mono] = coeff
             if kind != "+" and kind != "-":
+                self.pos = pos
                 return terms
-
-    def term(self):
-        """The (monomial, coefficient) items of a product.  Numbers,
-        constants and variables fold into one coefficient and one
-        exponent map; only a parenthesised factor is multiplied as a
-        Polynomial."""
-        tokens = self.tokens
-        coeff = ONE
-        exps = {}
-        polys = []
-        while True:
-            kind, val = tokens[self.pos]
-            self.pos += 1
-            negate = False
-            while kind == "-":
-                negate = not negate
-                kind, val = tokens[self.pos]
-                self.pos += 1
-            if kind == "(":
-                val = self.expr()
-                if tokens[self.pos][0] != ")":
-                    raise PolyParseError("missing closing parenthesis")
-                self.pos += 1
-            elif kind == "int":
-                kind, val = "const", val[1]
-            elif kind == "zero":
-                raise PolyParseError(f"zero denominator in {val!r}")
-            elif kind != "var" and kind != "const":
-                raise PolyParseError(f"unexpected token {val!r}")
-            e = 1
-            if tokens[self.pos][0] == "^":
-                kind_e, val_e = tokens[self.pos + 1]
-                self.pos += 2
-                if kind_e != "int":
-                    raise PolyParseError("exponent must be an integer")
-                e = val_e[0]
-            if negate and e & 1:
-                coeff = -coeff
-            if kind == "var":
-                if e:
-                    exps[val] = exps.get(val, 0) + e
-            elif kind == "(":
-                p = Polynomial(val)
-                polys.append(p if e == 1 else p ** e)
-            else:
-                coeff = coeff * (val if e == 1 else val ** e)
-            if tokens[self.pos][0] != "*":
-                break
-            self.pos += 1
-        if not coeff:
-            return ()
-        mono = tuple(sorted(exps.items(), key=_item_key)) if exps else ()
-        if not polys:
-            return ((mono, coeff),)
-        out = Polynomial({mono: coeff})
-        for p in polys:
-            out = out * p
-        return out.terms.items()
 
 
 def parse_polynomial(text):

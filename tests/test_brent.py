@@ -199,6 +199,29 @@ def test_parse_system_rejects_bad_records():
     for key, value in (("multiset", 5), ("mode", "other")):
         with pytest.raises(brent.BrentError):
             brent.parse_system({**rec, key: value})
+    # the header must name the system the equations belong to: an
+    # invariant multiset is a nonempty list of family ids whose slots
+    # declare exactly the record's variables
+    extra = {**rec, "variables": rec["variables"] + ["a3"]}
+    for bad in ({**rec, "multiset": "95"}, {**rec, "multiset": [7]},
+                {**rec, "multiset": []}, {**rec, "multiset": [9, 999]},
+                {**rec, "multiset": [9, True]}, {**rec, "multiset": [9.0, 5]},
+                extra):
+        with pytest.raises(brent.BrentError, match="bad system record"):
+            brent.parse_system(bad)
+    # a generic rank is a positive int whose 27*rank coordinates are the
+    # record's variables, in export order
+    generic = json.loads(brent.export(brent.generic_system(2), "json"))
+    assert brent.parse_system(generic) == brent.generic_system(2)
+    swapped = generic["variables"][:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    for bad in ({**generic, "rank": "abc"}, {**generic, "rank": 0},
+                {**generic, "rank": None}, {**generic, "rank": 5},
+                {**generic, "rank": 1}, {**generic, "rank": True},
+                {**generic, "rank": 2.0}, {**generic, "variables": swapped},
+                {**generic, "variables": generic["variables"] + ["x3_11"]}):
+        with pytest.raises(brent.BrentError, match="bad system record"):
+            brent.parse_system(bad)
 
 
 def test_text_export():

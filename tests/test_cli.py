@@ -253,6 +253,22 @@ def test_check_solution_undeclared_variable(tmp_path):
         assert (code, text) == (3, ""), values
 
 
+def test_check_solution_bad_header(tmp_path):
+    # the equations of rank 1 under a record that claims rank 5
+    rec = brent.to_json(brent.generic_system(1))
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({**rec, "rank": 5}))
+    assignment = tmp_path / "sol.json"
+    assignment.write_text(json.dumps({v: "0" for v in rec["variables"]}))
+    code, text = capture(["check-solution", "--system", str(system),
+                          "--assignment", str(assignment)])
+    assert (code, text) == (3, "")
+    system.write_text(json.dumps(rec))
+    code, text = capture(["check-solution", "--system", str(system),
+                          "--assignment", str(assignment)])
+    assert code == 1
+
+
 def test_act(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(matmul_tensor().dumps())

@@ -150,6 +150,20 @@ def test_parse_grammar():
     assert parse_polynomial("- -a^2") == -parse_polynomial("a^2")
     assert parse_polynomial("a^0*b*a^2*a") == parse_polynomial("b*a^3")
     assert parse_polynomial("0^0 + 0*a + (a - a)^0") == Polynomial.constant(2)
+    # a product is one token, but an exponent still binds to one atom,
+    # a second exponent is left over, and a minus after * negates only
+    # the first factor
+    for text in ("a^2^3", "z^2^3", "2^2^2", "(a)^2^3"):
+        with pytest.raises(PolyParseError, match="trailing input"):
+            parse_polynomial(text)
+    for text in ("a^1/0", "a^1/2"):
+        with pytest.raises(PolyParseError, match="exponent must be an integer"):
+            parse_polynomial(text)
+    assert parse_polynomial("a*b ^ 2") == parse_polynomial("a*b^2")
+    assert parse_polynomial("2*-a^2*b") == parse_polynomial("2*a^2*b")
+    assert parse_polynomial("-a^2*b") == -parse_polynomial("a^2*b")
+    assert parse_polynomial("y1_11*x1_11").terms == parse_polynomial(
+        "x1_11*y1_11").terms
 
 
 def test_parse_sum_matches_termwise_sum():
@@ -197,10 +211,13 @@ def test_parse_errors():
     check()
     with pytest.raises(PolyParseError):
         parse_cyclotomic("a + 1")
-    # no bad token was stored
-    kinds = {"-", "+", "*", "^", "(", ")", "const", "var", "int"}
-    assert {kind for kind, _ in _TOKENS.values()} <= kinds
-    assert not {"x", "y", "e", "@", "1/0", "3/00"} & _TOKENS.keys()
+    # no bad token was stored: every stored token is an operator, an
+    # exponent or a factor, and no bad, zero-denominator or
+    # non-integer exponent text is a key; nor is any product
+    kinds = {"-", "+", "*", "^", "(", ")", "const", "var"}
+    assert {tok[0] for tok in _TOKENS.values()} <= kinds
+    assert not {"x", "y", "e", "@", "1/0", "3/00", "^1/0", "^1/2"} & _TOKENS.keys()
+    assert not [t for t in _TOKENS if "*" in t and t != "*"]
 
 
 def test_printing_deterministic():
@@ -291,3 +308,6 @@ def test_parse_matches_operator_build(expr):
     assert got == value
     assert all(got.terms.values())
     assert parse_polynomial(str(got)) == got
+    # the same product spelled token by token
+    spaced = text.replace("*", " * ").replace("^", " ^ ")
+    assert parse_polynomial(spaced) == value
