@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .poly import (
     Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
-    var_from_str, add_into, PolyParseError, _KEYS, _NAMES,
+    var_from_str, add_into, _KEYS, _NAMES,
 )
 from .prover import gamma_row
 from .catalog import CatalogError, get_family, matmul_tensor
@@ -228,10 +228,12 @@ def parse_system(rec):
             if variables != _parameters(multiset):
                 raise BrentError("bad system record: variables are not the "
                                  f"parameters of multiset {multiset}")
-            return BrentSystem(mode, variables, equations,
-                               multiset=tuple(multiset))
-    except (KeyError, TypeError, PolyParseError, ValueError,
-            CatalogError) as exc:
+            system = invariant_system(multiset)
+            if equations != system.equations:
+                raise BrentError("bad system record: equations are not "
+                                 f"those of multiset {multiset}")
+            return system
+    except (KeyError, TypeError, ValueError, CatalogError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc
     raise BrentError(f"bad system mode: {mode!r}")
 

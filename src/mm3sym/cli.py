@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .poly import parse_cyclotomic, PolyParseError
+from .poly import parse_cyclotomic
 from .tensors import Tensor
 from . import group
 from .invariants import compute_classes, gamma_to_tensor, orbit_sum
@@ -242,8 +242,8 @@ def run(argv=None, out=None):
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, PolyParseError, ValueError,
-            KeyError, CatalogError, brent.BrentError) as exc:
+    except (OSError, ValueError, KeyError, CatalogError,
+            brent.BrentError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except prover.ProofError as exc:

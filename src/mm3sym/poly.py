@@ -341,27 +341,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _TokenTable(dict):
-    """Token text -> token, so that each text is resolved once; a missing
-    factor text is resolved on lookup.  An operator's token is (op, op),
-    and an exponent's ("^", its integer), or ("^", None) when no integer
-    follows.  A factor's token is (kind, (x, e), key): kind "var" with
-    the pair (variable, e) and the variable's sort key, or "const" with
-    the constant's power and no key.  Every monomial shares the pairs.
-    A product is not stored; its token is ("run", text)."""
-
-    __slots__ = ()
-
-    def __missing__(self, t):
-        return _new_token(t, t)
-
-
-_TOKENS = _TokenTable((op, (op, op)) for op in "-+*()")
+_TOKENS = {op: (op, op) for op in "-+*()"}
 _TOKENS["^"] = ("^", None)
-_TOKENS.update(
-    (name, ("const", (c, 1), None))
-    for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
-_FACTOR_TOKEN = _TOKENS.__getitem__
 _END = (None, None)
 
 
@@ -370,9 +351,10 @@ class PolyParseError(ValueError):
 
 
 def _tokenize(text):
-    """One regex pass; the tokens end with the _END sentinel.  A product
-    gets a new ("run", text) token, and every other text is read from
-    _TOKENS or resolved into it."""
+    """One regex pass; the tokens end with the _END sentinel.  An
+    operator's token is (op, op), an exponent's ("^", its integer) or
+    ("^", None) when no integer follows, and a factor's or a product's
+    ("run", text): a lone atom is a run of one factor."""
     get = _TOKENS.get
     tokens = [get(t) or (("run", t) if "*" in t else _new_token(t, text))
               for t in _TOKEN_RE.findall(text)]
@@ -381,45 +363,56 @@ def _tokenize(text):
 
 
 def _new_token(t, text):
-    """Resolve a token text that is not a product and store it in
-    _TOKENS.  A bad token raises.  A number with a zero denominator
-    becomes a "zero" token that the parser rejects where it stands, and
-    an exponent that is not an integer a ("^", None) token; neither is
-    stored."""
-    base, _, e = t.partition("^")
-    c = t[0]
-    if not base:
-        e = e.lstrip()
+    """The token of a text that _TOKENS does not hold.  An integer
+    exponent is stored in _TOKENS; any other exponent is ("^", None).
+    A lone character that is not an atom (a digit, a constant or a
+    parameter letter) is a bad token and raises."""
+    if t[0] == "^":
+        e = t[1:].lstrip()
         if not e.isdecimal():
             return ("^", None)
-        tok = ("^", int(e))
-    elif e:
-        tok = _TOKENS[base]
-        if tok[0] == "zero":
-            return tok
-        tok = _power(tok[0], tok[1][0], int(e))
-    elif c.isdecimal():
+        tok = _TOKENS[t] = ("^", int(e))
+        return tok
+    if len(t) > 1 or t.isdecimal() or t in "abcdfgiwz":
+        return ("run", t)
+    bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
+    raise PolyParseError(f"bad token at {text[bad.start():]!r}")
+
+
+def _factor(t):
+    """The factor of a text such as a, x1_11, 3/2 or a^2: ("var", (v, e),
+    v's sort key) or ("const", (c^e, e), None).  Every monomial shares
+    the pairs."""
+    base, _, e = t.partition("^")
+    if e:
+        kind, (x, _), _ = _FACTORS[base]
+        return _power(kind, x, int(e))
+    c = t[0]
+    if c.isdecimal():
         p, _, q = t.partition("/")
         if q and not int(q):
-            return ("zero", t, None)
-        tok = _power("const",
-                     Cyclotomic.rational(int(p), int(q) if q else None), 1)
-    elif c in "abcdfg":
-        tok = _power("var", ParamId(int(t[1:] or 0), c), 1)
-    elif len(t) > 1:
-        tok = _power("var", BrentVar("xyz".index(c), int(t[1:-3]),
-                                     int(t[-2]), int(t[-1])), 1)
-    else:
-        bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
-        raise PolyParseError(f"bad token at {text[bad.start():]!r}")
-    _TOKENS[t] = tok
-    return tok
+            raise PolyParseError(f"zero denominator in {t!r}")
+        return _power("const",
+                      Cyclotomic.rational(int(p), int(q) if q else None), 1)
+    if c in "abcdfg":
+        return _power("var", ParamId(int(t[1:] or 0), c), 1)
+    return _power("var", BrentVar("xyz".index(c), int(t[1:-3]),
+                                  int(t[-2]), int(t[-1])), 1)
+
+
+# factor text -> factor, resolved once; a zero denominator raises and
+# is not stored
+_FACTORS = _Memo(_factor)
+_FACTORS.update(
+    (name, ("const", (c, 1), None))
+    for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
+_FACTOR_OF = _FACTORS.__getitem__
 
 
 def _power(kind, x, e):
-    """The factor token of the atom or Polynomial x to the power e.  It
-    keeps e, whose parity says whether a unary minus before x survives;
-    a variable to the power 0 is the constant 1."""
+    """The factor of the atom or Polynomial x to the power e.  It keeps
+    e, whose parity says whether a unary minus before x survives; a
+    variable to the power 0 is the constant 1."""
     if kind != "var":
         return (kind, (x ** e, e), None)
     return ("var", (x, e), _KEYS[x]) if e else ("const", (ONE, 0), None)
@@ -428,128 +421,113 @@ def _power(kind, x, e):
 def var_from_str(s):
     if _VAR_RE.fullmatch(s) is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return _TOKENS[s][1][0]
+    return _FACTORS[s][1][0]
 
 
-class _Parser:
-    """Recursive descent over the token list:
+def _expr(tokens, pos):
+    """Recursive descent over the token list from pos; returns the term
+    dict of the sum there and the position after it:
 
         expr   := [+|-] term {(+|-) term}
         term   := factor {* factor}
         factor := {-} atom [^ integer]
         atom   := number | z | zb | i | w | variable | ( expr )
 
-    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  A "run"
-    token stands for factors joined by *, none with a unary minus."""
-
-    __slots__ = ("tokens", "pos")
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def expr(self):
-        """The term dict of a sum: one dict, not a copy per term.  Each
-        product folds its numbers, constants and variables into one
-        coefficient and a list of (variable, exponent) pairs; only a
-        parenthesised factor is multiplied as a Polynomial.  The pairs
-        are kept in text order while their sort keys increase, as in
-        every printed monomial, and merged and sorted only otherwise."""
-        tokens = self.tokens
-        pos = self.pos
-        terms = {}
-        kind = tokens[pos][0]
+    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  A run
+    token stands for atoms joined by *, none with a unary minus; an
+    exponent after a run applies to its last atom (the tokenizer ends
+    a run before ^ only after a single atom).  One dict holds the sum,
+    not a copy per term.  Each product folds its numbers, constants
+    and variables into one coefficient and a list of (variable,
+    exponent) pairs; only a parenthesised factor is multiplied as a
+    Polynomial.  The pairs are kept in text order while their sort keys
+    increase, as in every printed monomial, and merged and sorted only
+    otherwise."""
+    terms = {}
+    kind = tokens[pos][0]
+    while True:
+        negate = kind == "-"
+        if negate or kind == "+":
+            pos += 1
+        coeff = ONE
+        pairs = []
+        last = ()    # the key of the last pair; () is below every key
+        ordered = True
+        polys = ()
         while True:
-            negate = kind == "-"
-            if negate or kind == "+":
+            kind, t = tokens[pos]
+            pos += 1
+            minus = False
+            while kind == "-":
+                minus = not minus
+                kind, t = tokens[pos]
                 pos += 1
-            coeff = ONE
-            pairs = []
-            last = ()    # the key of the last pair; () is below every key
-            ordered = True
-            polys = ()
-            while True:
-                tok = tokens[pos]
-                kind = tok[0]
+            if kind == "run":
+                factors = map(_FACTOR_OF, t.split("*"))
+            elif kind == "(":
+                inner, pos = _expr(tokens, pos)
+                if tokens[pos][0] != ")":
+                    raise PolyParseError("missing closing parenthesis")
                 pos += 1
-                minus = False
-                while kind == "-":
-                    minus = not minus
-                    tok = tokens[pos]
-                    kind = tok[0]
-                    pos += 1
-                if kind == "run":
-                    factors = map(_FACTOR_TOKEN, tok[1].split("*"))
-                    if minus:    # keep the first factor for the sign
-                        factors = list(factors)
+                factors = (("poly", (Polynomial(inner), 1), None),)
+            else:
+                raise PolyParseError(f"unexpected token {kind!r}")
+            # a list only where an exponent or the sign indexes it
+            if tokens[pos][0] == "^":
+                factors = list(factors)
+                e = tokens[pos][1]
+                pos += 1
+                if e is None:
+                    raise PolyParseError("exponent must be an integer")
+                kind, (x, _), _ = factors[-1]
+                factors[-1] = _power(kind, x, e)
+            elif minus:
+                factors = list(factors)
+            for kind, x, k in factors:
+                if kind == "var":
+                    if k <= last:
+                        ordered = False
+                    last = k
+                    pairs.append(x)
+                elif kind == "const":
+                    coeff = coeff * x[0]
                 else:
-                    if kind == "(":
-                        self.pos = pos
-                        tok = ("poly", (Polynomial(self.expr()), 1), None)
-                        pos = self.pos
-                        if tokens[pos][0] != ")":
-                            raise PolyParseError("missing closing parenthesis")
-                        pos += 1
-                    elif kind == "zero":
-                        raise PolyParseError(f"zero denominator in {tok[1]!r}")
-                    elif kind != "var" and kind != "const":
-                        raise PolyParseError(f"unexpected token {kind!r}")
-                    if tokens[pos][0] == "^":
-                        e = tokens[pos][1]
-                        pos += 1
-                        if e is None:
-                            raise PolyParseError("exponent must be an integer")
-                        tok = _power(tok[0], tok[1][0], e)
-                    factors = (tok,)
-                for kind, x, k in factors:
-                    if kind == "var":
-                        if k <= last:
-                            ordered = False
-                        last = k
-                        pairs.append(x)
-                    elif kind == "const":
-                        coeff = coeff * x[0]
-                    elif kind == "poly":
-                        polys += (x[0],)
-                    else:
-                        raise PolyParseError(f"zero denominator in {x!r}")
-                # a unary minus negates the first factor, before its exponent
-                if minus and factors[0][1][1] & 1:
-                    coeff = -coeff
-                kind = tokens[pos][0]
-                if kind != "*":
-                    break
-                pos += 1
-            if coeff is ONE or coeff:
-                if negate:
-                    coeff = -coeff
-                if not ordered:
-                    exps = {}
-                    for v, e in pairs:
-                        exps[v] = exps.get(v, 0) + e
-                    pairs = sorted(exps.items(), key=_item_key)
-                mono = tuple(pairs)
-                if polys:
-                    out = Polynomial({mono: coeff})
-                    for p in polys:
-                        out = out * p
-                    add_into(terms, out.terms.items())
-                elif mono in terms:
-                    add_into(terms, ((mono, coeff),))
-                else:
-                    terms[mono] = coeff
-            if kind != "+" and kind != "-":
-                self.pos = pos
-                return terms
+                    polys += (x[0],)
+            # a unary minus negates the first factor, before its exponent
+            if minus and factors[0][1][1] & 1:
+                coeff = -coeff
+            kind = tokens[pos][0]
+            if kind != "*":
+                break
+            pos += 1
+        if coeff is ONE or coeff:
+            if negate:
+                coeff = -coeff
+            if not ordered:
+                exps = {}
+                for v, e in pairs:
+                    exps[v] = exps.get(v, 0) + e
+                pairs = sorted(exps.items(), key=_item_key)
+            mono = tuple(pairs)
+            if polys:
+                out = Polynomial({mono: coeff})
+                for p in polys:
+                    out = out * p
+                add_into(terms, out.terms.items())
+            elif mono in terms:
+                add_into(terms, ((mono, coeff),))
+            else:
+                terms[mono] = coeff
+        if kind != "+" and kind != "-":
+            return terms, pos
 
 
 def parse_polynomial(text):
     tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    out = Polynomial(parser.expr())
-    if parser.pos != len(tokens) - 1:
+    terms, pos = _expr(tokens, 0)
+    if pos != len(tokens) - 1:
         raise PolyParseError(f"trailing input in {text!r}")
-    return out
+    return Polynomial(terms)
 
 
 def parse_cyclotomic(text):

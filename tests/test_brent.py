@@ -209,6 +209,12 @@ def test_parse_system_rejects_bad_records():
                 extra):
         with pytest.raises(brent.BrentError, match="bad system record"):
             brent.parse_system(bad)
+    # and its equations must be the multiset's: [5, 9] declares the
+    # same parameters as (9, 5), with other equations
+    assert brent.invariant_system((5, 9)).equations != system.equations
+    with pytest.raises(brent.BrentError, match="bad system record: "
+                       "equations are not those of multiset"):
+        brent.parse_system({**rec, "multiset": [5, 9]})
     # a generic rank is a positive int whose 27*rank coordinates are the
     # record's variables, in export order
     generic = json.loads(brent.export(brent.generic_system(2), "json"))

@@ -313,6 +313,14 @@ def test_error_exit_codes(tmp_path):
     code, _ = capture(["check-solution", "--system", str(system),
                        "--assignment", str(assignment)])
     assert code == 3
+    # an invariant record whose equations belong to another multiset
+    system.write_text(json.dumps(
+        {**brent.to_json(brent.invariant_system((9, 5))), "multiset": [5, 9]}))
+    assignment.write_text(json.dumps(dict.fromkeys(["a1", "b1", "a2", "b2"],
+                                                   "1")))
+    code, _ = capture(["check-solution", "--system", str(system),
+                       "--assignment", str(assignment)])
+    assert code == 3
     # a value with a zero denominator
     good = tmp_path / "generic.json"
     good.write_text(brent.export(brent.generic_system(1), "json"))

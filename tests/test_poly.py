@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mm3sym.cyclotomic import Cyclotomic, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
 from mm3sym.poly import (
     Polynomial, ParamId, BrentVar, parse_polynomial, parse_cyclotomic,
-    var_from_str, PolyParseError, _TOKENS,
+    var_from_str, PolyParseError, _TOKENS, _FACTORS,
 )
 
 A = ParamId(0, "a")
@@ -164,6 +165,13 @@ def test_parse_grammar():
     assert parse_polynomial("-a^2*b") == -parse_polynomial("a^2*b")
     assert parse_polynomial("y1_11*x1_11").terms == parse_polynomial(
         "x1_11*y1_11").terms
+    # an exponent after a space binds to the atom before it, also inside
+    # a product and after a unary minus; any decimal digit is a digit
+    for text, want in (("a ^2*b", "a^2*b"), ("2*-a ^ 3*b", "-2*a^3*b"),
+                       ("zb ^ 3", "1"), ("3*-zb^3", "-3"),
+                       ("x1_11 ^ 2*y1_11", "x1_11^2*y1_11"),
+                       ("\u0663*a", "3*a"), ("\u0663", "3")):
+        assert str(parse_polynomial(text)) == want, text
 
 
 def test_parse_sum_matches_termwise_sum():
@@ -193,7 +201,11 @@ def test_parse_sum_matches_termwise_sum():
 def test_parse_errors():
     # bad input -> the part of its error message that names it
     named = {"x1_1": "'x1_1'", "e11": "'e11'", "@": "'@'", "1/0": "'1/0'",
-             "a + 3/00": "'3/00'", "2 * y": "' y'", "a^1/0": "integer"}
+             "a + 3/00": "'3/00'", "2 * y": "' y'", "a^1/0": "integer",
+             "2*1/0*a": "zero denominator in '1/0'",
+             "1/0^2": "zero denominator in '1/0'",
+             "a^2*1/0": "zero denominator in '1/0'",
+             "1/0 $": "bad token at ' $'"}
     unnamed = ("a +", "(a", "a^b", "2**a", "", "a^1/2", "a)", "1 2", "a^",
                "-")
 
@@ -211,13 +223,54 @@ def test_parse_errors():
     check()
     with pytest.raises(PolyParseError):
         parse_cyclotomic("a + 1")
-    # no bad token was stored: every stored token is an operator, an
-    # exponent or a factor, and no bad, zero-denominator or
-    # non-integer exponent text is a key; nor is any product
-    kinds = {"-", "+", "*", "^", "(", ")", "const", "var"}
+    # nothing bad was stored: every stored token is an operator or an
+    # exponent, every stored factor a variable or a constant, and no
+    # bad, zero-denominator or non-integer exponent text is a key of
+    # either; nor is any product
+    kinds = {"-", "+", "*", "^", "(", ")"}
     assert {tok[0] for tok in _TOKENS.values()} <= kinds
-    assert not {"x", "y", "e", "@", "1/0", "3/00", "^1/0", "^1/2"} & _TOKENS.keys()
-    assert not [t for t in _TOKENS if "*" in t and t != "*"]
+    assert {f[0] for f in _FACTORS.values()} <= {"const", "var"}
+    bad = {"x", "y", "e", "@", "1/0", "3/00", "^1/0", "^1/2"}
+    for stored in (_TOKENS, _FACTORS):
+        assert not bad & stored.keys()
+        assert not [t for t in stored if "*" in t and t != "*"]
+
+
+CORPUS_SHA256 = (
+    "d9ad37e678562f3c61e42b2ccf1d147363a41712d23f5c766d818b56915a9cae")
+# pieces of the golden corpus: atoms, bad and zero-denominator atoms
+# among them, and operator fragments, some of them bad
+_CORPUS_ATOMS = ("a", "b", "a2", "g13", "x3_12", "y1_11", "z1_21", "x1_1",
+                 "z", "zb", "i", "w", "0", "1", "2", "12", "3/2", "1/0",
+                 "7/00", "0/5")
+_CORPUS_FRAGMENTS = ("+", "-", "*", " ", " + ", " - ", "(", ")", "^", "^2",
+                     "^ 3", "^0", "^1/2", "**", "$", "e", "x")
+
+
+def _corpus_outcomes(n, seed):
+    """One line per corpus string: its parse, as str() and the sorted
+    reprs of its terms, or its PolyParseError message."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        text = "".join(
+            rng.choice(_CORPUS_ATOMS if rng.random() < 0.5
+                       else _CORPUS_FRAGMENTS)
+            for _ in range(rng.randint(1, 7)))
+        try:
+            p = parse_polynomial(text)
+        except PolyParseError as exc:
+            yield f"{text!r} ! {exc}"
+        else:
+            yield f"{text!r} = {p} {sorted(map(repr, p.terms.items()))}"
+
+
+def test_parse_golden_corpus():
+    # every result and error message of 20000 seeded random strings,
+    # pinned by their sha256
+    lines = list(_corpus_outcomes(20000, 41))
+    assert sum(" = " in t for t in lines) > 1000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_SHA256
 
 
 def test_printing_deterministic():

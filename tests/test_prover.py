@@ -159,6 +159,25 @@ def test_proof_error_on_corrupted_table():
         prover._require(False, "demo")
 
 
+@pytest.mark.parametrize("fid, m, step", [
+    (24, 10, "sign_table.table"),
+    (38, 12, "sign_table.table"),
+    (17, 9, "gamma9_12.zero"),
+    (35, 3, "e_class.g3"),
+    (16, 4, "replacement.support"),
+    (1, 3, "final.g3g5"),
+])
+def test_proof_error_on_planted_coordinate(monkeypatch, fid, m, step):
+    # one wrong coordinate in the gamma table fails the step that reads it
+    planted = dict(prover.gamma_table())
+    coords = list(planted[fid].coords)
+    coords[m - 1] = coords[m - 1] + 1
+    planted[fid] = GammaVector(coords)
+    monkeypatch.setattr(prover, "gamma_table", lambda: planted)
+    with pytest.raises(prover.ProofError, match=f"proof step {step} failed"):
+        prover.verify_theorem(23)
+
+
 def test_certificate_json():
     out = io.StringIO()
     assert run(["verify", "--max-length", "5", "--report", "json"], out=out) == 0
