@@ -12,12 +12,11 @@ gamma coordinate.
 import json
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ONE, ZERO
+from .cyclotomic import Cyclotomic, ONE
 from .poly import (
-    Polynomial, BrentVar, ParamId, parse_polynomial, parse_cyclotomic,
-    var_from_str, add_into, _KEYS, _NAMES,
+    Polynomial, BrentVar, ParamId, var_from_str, add_into, _KEYS, _NAMES,
 )
-from .prover import gamma_row
+from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
 
 __all__ = [
@@ -63,7 +62,10 @@ def generic_system(rank):
     the matrix multiplication tensor."""
     if rank < 1:
         raise BrentError("rank must be >= 1")
-    variables = _coordinates(rank)
+    # the 27*rank coordinates in export order: term by term, and within
+    # a term factor by factor, row by row
+    variables = tuple(BrentVar(f, j, i, k) for j in range(1, rank + 1)
+                      for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3))
     # one (variable, 1) factor per coordinate, shared by every monomial
     # that uses it; column 9*f + 3*(i-1) + (k-1) lists the terms' entry
     # (i, k) of factor f
@@ -89,37 +91,25 @@ def generic_system(rank):
     return BrentSystem("generic", variables, tuple(equations), rank=rank)
 
 
-def _coordinates(rank):
-    """The generic system's 27*rank variables in export order: term by
-    term, and within a term factor by factor, row by row."""
-    return tuple(BrentVar(f, j, i, k) for j in range(1, rank + 1)
-                 for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3))
-
-
-def _parameters(multiset):
-    """The invariant system's variables: each entry's family parameters
-    in the entry's slot."""
-    return tuple(v for slot, fid in enumerate(multiset, start=1)
-                 for v in get_family(fid).param_ids(slot))
-
-
 def invariant_system(multiset):
     """12 equations stating that the orbit sums of the multiset, with
     fresh parameters per slot, add up to the target's invariant
-    coordinates (1 at gamma_1, gamma_3, gamma_9; 0 elsewhere).  Each
-    entry's orbit sum is its family's gamma-table row with the
-    parameters renamed into the entry's slot."""
+    coordinates t_gamma() (1 at gamma_1, gamma_3, gamma_9; 0
+    elsewhere).  Each entry's orbit sum is its family's gamma-table row
+    with the parameters renamed into the entry's slot.  The variables
+    are each entry's family parameters in the entry's slot."""
     multiset = tuple(multiset)
     if not multiset:
         raise BrentError("multiset must be nonempty")
-    variables = _parameters(multiset)
+    variables = tuple(v for slot, fid in enumerate(multiset, start=1)
+                      for v in get_family(fid).param_ids(slot))
     sums = [{} for _ in range(12)]
     for slot, fid in enumerate(multiset, start=1):
         rename = lambda v: ParamId(slot, v.letter)
         for acc, p in zip(sums, gamma_row(fid).coords):
             add_into(acc, p.map_vars(rename).terms.items())
     equations = tuple(
-        Equation(m, Polynomial(sums[m - 1]), ONE if m in (1, 3, 9) else ZERO)
+        Equation(m, Polynomial(sums[m - 1]), t_gamma()[m].constant_value())
         for m in range(1, 13)
     )
     return BrentSystem("invariant", variables, equations, multiset=multiset)
@@ -171,12 +161,6 @@ def _label_to_json(label):
     return [list(p) for p in label]
 
 
-def _label_from_json(obj):
-    if isinstance(obj, int):
-        return obj
-    return tuple(tuple(p) for p in obj)
-
-
 def to_json(system):
     rec = {"mode": system.mode}
     if system.mode == "generic":
@@ -196,58 +180,43 @@ def to_json(system):
 
 
 def parse_system(rec):
+    """The system a record's header names: the generic system of its
+    rank or the invariant system of its multiset.  The record must be
+    that system's export: its variables and equations are those of
+    to_json(system)."""
     if isinstance(rec, (str, bytes)):
         rec = json.loads(rec)
     try:
         mode = rec["mode"]
-        variables = tuple(var_from_str(s) for s in rec["variables"])
-        equations = tuple(
-            Equation(
-                _label_from_json(e["label"]),
-                parse_polynomial(e["lhs"]),
-                parse_cyclotomic(e["rhs"]),
-            )
-            for e in rec["equations"]
-        )
-        _check_declared(variables, equations)
         if mode == "generic":
             rank = rec["rank"]
             if type(rank) is not int or rank < 1:
                 raise BrentError(
                     f"bad system record: rank {rank!r} is not a positive int")
-            if len(variables) != 27 * rank or variables != _coordinates(rank):
-                raise BrentError("bad system record: variables are not the "
-                                 f"coordinates of rank {rank}")
-            return BrentSystem(mode, variables, equations, rank=rank)
-        if mode == "invariant":
+            name = f"rank {rank}"
+            # before the system is built, so that a large rank fails fast
+            if len(rec["variables"]) != 27 * rank:
+                raise BrentError(
+                    f"bad system record: variables are not those of {name}")
+            system = generic_system(rank)
+        elif mode == "invariant":
             multiset = rec["multiset"]
             if not (isinstance(multiset, list) and multiset
                     and all(type(fid) is int for fid in multiset)):
                 raise BrentError(f"bad system record: multiset {multiset!r} "
                                  "is not a nonempty list of family ids")
-            if variables != _parameters(multiset):
-                raise BrentError("bad system record: variables are not the "
-                                 f"parameters of multiset {multiset}")
+            name = f"multiset {multiset}"
             system = invariant_system(multiset)
-            if equations != system.equations:
-                raise BrentError("bad system record: equations are not "
-                                 f"those of multiset {multiset}")
-            return system
+        else:
+            raise BrentError(f"bad system mode: {mode!r}")
+        want = to_json(system)
+        for part in ("variables", "equations"):
+            if rec[part] != want[part]:
+                raise BrentError(
+                    f"bad system record: {part} are not those of {name}")
+        return system
     except (KeyError, TypeError, ValueError, CatalogError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc
-    raise BrentError(f"bad system mode: {mode!r}")
-
-
-def _check_declared(variables, equations):
-    """Every variable of an equation must be in the record's list, or an
-    assignment to the list's variables would leave it symbolic."""
-    factors = set()
-    for eq in equations:
-        factors.update(*eq.lhs.terms)
-    undeclared = {v for v, _ in factors}.difference(variables)
-    if undeclared:
-        first = min(undeclared, key=_KEYS.__getitem__)
-        raise BrentError(f"bad system record: undeclared variable {first}")
 
 
 def _wbasis(c):

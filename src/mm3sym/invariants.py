@@ -175,6 +175,12 @@ def r_sum(w, i):
 def project(w):
     """Projection onto the invariant subspace: coordinate i is
     r_i(w)/|Q_i|."""
+    return orbit_sum(w, 1)
+
+
+def orbit_sum(w, length):
+    """Sum over the orbit of w, of the given length: coordinate i is
+    r_i(w)*length/|Q_i|."""
     lookup = _class_lookup()
     sums = [{} for _ in range(12)]
     for alpha, p in w.entries.items():
@@ -182,15 +188,10 @@ def project(w):
         if cid is not None:
             add_into(sums[cid - 1], p.terms.items())
     coords = [
-        Polynomial(s).scale(Cyclotomic.rational(1, CLASS_SIZES[k]))
+        Polynomial(s).scale(Cyclotomic.rational(length, CLASS_SIZES[k]))
         for k, s in enumerate(sums)
     ]
     return GammaVector(coords)
-
-
-def orbit_sum(w, length):
-    """Sum over the orbit of w, computed as length * project(w)."""
-    return project(w).scale(length)
 
 
 def gamma_to_tensor(v):

@@ -11,7 +11,7 @@ of term maps is equality of polynomials.
 import re
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
+from .cyclotomic import Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
 
 __all__ = [
     "ParamId", "BrentVar", "Polynomial",
@@ -210,7 +210,7 @@ class Polynomial:
 
     def constant_value(self):
         if not self.terms:
-            return Cyclotomic()
+            return ZERO
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.terms[()]
@@ -295,7 +295,9 @@ def _term_str(m, c):
     read from the coefficient's coordinates in {1, z, i, i*z}; one with
     more than one nonzero coordinate is a sum and keeps its own signs,
     in parentheses."""
-    if m and c == ONE:
+    # a Brent system's coefficients are the ONE object, so the identity
+    # test spares each of its terms a Cyclotomic comparison
+    if m and (c is ONE or c == ONE):
         return _mono_str(m), False
     nonzero = [x for x in c.qbasis() if x != 0]
     if len(nonzero) > 1:
@@ -318,21 +320,13 @@ _BRENT_NAME = r"[xyz]\d+_\d\d"
 _PARAM_NAME = r"[abcdfg]\d*"
 _VAR_RE = re.compile(f"{_BRENT_NAME}|{_PARAM_NAME}")
 
-# an atom is a variable, a number or a constant; a factor is an atom
-# with an optional integer exponent
+# an atom is a variable, a number or a constant
 _ATOM = rf"{_BRENT_NAME}|\d+(?:/\d+)?|zb|[ziw]|{_PARAM_NAME}"
-_FACTOR = rf"(?:{_ATOM})(?:\^\d+(?![\d/]))?"
 
-# A product written without spaces, such as x1_11*y1_11*z1_11 or
-# 2*a^2*b, is one token, unless a ^ follows it: then it ends before its
-# last atom, which takes the exponent as a token of its own.  It never
-# ends inside an atom (zb, a12, 1/2), so it splits the text where
-# single atoms would.  An exponent is one token with its integer, so no
-# product starts after ^.
+# an exponent is one token with its integer
 _TOKEN_RE = re.compile(
     r"\s*("
     r"[-+*()]"
-    rf"|{_FACTOR}(?:\*{_FACTOR})*(?![\w/]|\s*\^)"
     r"|\^\s*\d+(?:/\d+)?"
     f"|{_ATOM}"
     r"|\^"
@@ -353,11 +347,9 @@ class PolyParseError(ValueError):
 def _tokenize(text):
     """One regex pass; the tokens end with the _END sentinel.  An
     operator's token is (op, op), an exponent's ("^", its integer) or
-    ("^", None) when no integer follows, and a factor's or a product's
-    ("run", text): a lone atom is a run of one factor."""
+    ("^", None) when no integer follows, and an atom's ("atom", text)."""
     get = _TOKENS.get
-    tokens = [get(t) or (("run", t) if "*" in t else _new_token(t, text))
-              for t in _TOKEN_RE.findall(text)]
+    tokens = [get(t) or _new_token(t, text) for t in _TOKEN_RE.findall(text)]
     tokens.append(_END)
     return tokens
 
@@ -374,54 +366,38 @@ def _new_token(t, text):
         tok = _TOKENS[t] = ("^", int(e))
         return tok
     if len(t) > 1 or t.isdecimal() or t in "abcdfgiwz":
-        return ("run", t)
+        return ("atom", t)
     bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
     raise PolyParseError(f"bad token at {text[bad.start():]!r}")
 
 
 def _factor(t):
-    """The factor of a text such as a, x1_11, 3/2 or a^2: ("var", (v, e),
-    v's sort key) or ("const", (c^e, e), None).  Every monomial shares
-    the pairs."""
-    base, _, e = t.partition("^")
-    if e:
-        kind, (x, _), _ = _FACTORS[base]
-        return _power(kind, x, int(e))
+    """The factor of an atom's text such as a, x1_11 or 3/2: ("var", v)
+    or ("const", c)."""
     c = t[0]
     if c.isdecimal():
         p, _, q = t.partition("/")
         if q and not int(q):
             raise PolyParseError(f"zero denominator in {t!r}")
-        return _power("const",
-                      Cyclotomic.rational(int(p), int(q) if q else None), 1)
+        return ("const", Cyclotomic.rational(int(p), int(q) if q else None))
     if c in "abcdfg":
-        return _power("var", ParamId(int(t[1:] or 0), c), 1)
-    return _power("var", BrentVar("xyz".index(c), int(t[1:-3]),
-                                  int(t[-2]), int(t[-1])), 1)
+        return ("var", ParamId(int(t[1:] or 0), c))
+    return ("var", BrentVar("xyz".index(c), int(t[1:-3]),
+                            int(t[-2]), int(t[-1])))
 
 
-# factor text -> factor, resolved once; a zero denominator raises and
-# is not stored
+# atom text -> factor, resolved once; a zero denominator raises and is
+# not stored
 _FACTORS = _Memo(_factor)
 _FACTORS.update(
-    (name, ("const", (c, 1), None))
+    (name, ("const", c))
     for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
-_FACTOR_OF = _FACTORS.__getitem__
-
-
-def _power(kind, x, e):
-    """The factor of the atom or Polynomial x to the power e.  It keeps
-    e, whose parity says whether a unary minus before x survives; a
-    variable to the power 0 is the constant 1."""
-    if kind != "var":
-        return (kind, (x ** e, e), None)
-    return ("var", (x, e), _KEYS[x]) if e else ("const", (ONE, 0), None)
 
 
 def var_from_str(s):
     if _VAR_RE.fullmatch(s) is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return _FACTORS[s][1][0]
+    return _FACTORS[s][1]
 
 
 def _expr(tokens, pos):
@@ -433,16 +409,11 @@ def _expr(tokens, pos):
         factor := {-} atom [^ integer]
         atom   := number | z | zb | i | w | variable | ( expr )
 
-    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  A run
-    token stands for atoms joined by *, none with a unary minus; an
-    exponent after a run applies to its last atom (the tokenizer ends
-    a run before ^ only after a single atom).  One dict holds the sum,
-    not a copy per term.  Each product folds its numbers, constants
-    and variables into one coefficient and a list of (variable,
-    exponent) pairs; only a parenthesised factor is multiplied as a
-    Polynomial.  The pairs are kept in text order while their sort keys
-    increase, as in every printed monomial, and merged and sorted only
-    otherwise."""
+    A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  One dict
+    holds the sum, not a copy per term.  Each product folds its
+    numbers, constants and variables into one coefficient and one
+    exponent map; only a parenthesised factor is multiplied as a
+    Polynomial."""
     terms = {}
     kind = tokens[pos][0]
     while True:
@@ -450,9 +421,7 @@ def _expr(tokens, pos):
         if negate or kind == "+":
             pos += 1
         coeff = ONE
-        pairs = []
-        last = ()    # the key of the last pair; () is below every key
-        ordered = True
+        exps = {}
         polys = ()
         while True:
             kind, t = tokens[pos]
@@ -462,39 +431,34 @@ def _expr(tokens, pos):
                 minus = not minus
                 kind, t = tokens[pos]
                 pos += 1
-            if kind == "run":
-                factors = map(_FACTOR_OF, t.split("*"))
+            if kind == "atom":
+                kind, x = _FACTORS[t]
             elif kind == "(":
                 inner, pos = _expr(tokens, pos)
                 if tokens[pos][0] != ")":
                     raise PolyParseError("missing closing parenthesis")
                 pos += 1
-                factors = (("poly", (Polynomial(inner), 1), None),)
+                kind, x = "poly", Polynomial(inner)
             else:
                 raise PolyParseError(f"unexpected token {kind!r}")
-            # a list only where an exponent or the sign indexes it
+            e = 1
             if tokens[pos][0] == "^":
-                factors = list(factors)
                 e = tokens[pos][1]
                 pos += 1
                 if e is None:
                     raise PolyParseError("exponent must be an integer")
-                kind, (x, _), _ = factors[-1]
-                factors[-1] = _power(kind, x, e)
-            elif minus:
-                factors = list(factors)
-            for kind, x, k in factors:
-                if kind == "var":
-                    if k <= last:
-                        ordered = False
-                    last = k
-                    pairs.append(x)
-                elif kind == "const":
-                    coeff = coeff * x[0]
-                else:
-                    polys += (x[0],)
-            # a unary minus negates the first factor, before its exponent
-            if minus and factors[0][1][1] & 1:
+                if kind != "var":
+                    x = x ** e
+                elif not e:
+                    kind, x = "const", ONE
+            if kind == "var":
+                exps[x] = exps.get(x, 0) + e
+            elif kind == "const":
+                coeff = coeff * x
+            else:
+                polys += (x,)
+            # a unary minus negates the atom, before its exponent
+            if minus and e & 1:
                 coeff = -coeff
             kind = tokens[pos][0]
             if kind != "*":
@@ -503,12 +467,7 @@ def _expr(tokens, pos):
         if coeff is ONE or coeff:
             if negate:
                 coeff = -coeff
-            if not ordered:
-                exps = {}
-                for v, e in pairs:
-                    exps[v] = exps.get(v, 0) + e
-                pairs = sorted(exps.items(), key=_item_key)
-            mono = tuple(pairs)
+            mono = tuple(sorted(exps.items(), key=_item_key))
             if polys:
                 out = Polynomial({mono: coeff})
                 for p in polys:

@@ -225,8 +225,30 @@ def test_parse_system_rejects_bad_records():
                 {**generic, "rank": None}, {**generic, "rank": 5},
                 {**generic, "rank": 1}, {**generic, "rank": True},
                 {**generic, "rank": 2.0}, {**generic, "variables": swapped},
-                {**generic, "variables": generic["variables"] + ["x3_11"]}):
+                {**generic, "variables": generic["variables"] + ["x3_11"]},
+                {**generic, "rank": 10**9}):
         with pytest.raises(brent.BrentError, match="bad system record"):
+            brent.parse_system(bad)
+    # and its equations must be the rank's export as printed: an edited
+    # equation or label is another system, and two lhs terms swapped
+    # are the same equation printed otherwise
+    one = json.loads(brent.export(brent.generic_system(1), "json"))
+    first, *rest = one["equations"]
+    assert first["lhs"] == "x1_11*y1_11*z1_11"
+    lhs = generic["equations"][0]["lhs"].split(" + ")
+    assert len(lhs) == 2
+    for bad in (
+            {**one, "equations": [{**first, "lhs": "x1_11", "rhs": "5"},
+                                  *rest]},
+            {**one, "equations": [{**first, "label": rest[0]["label"]},
+                                  *rest]},
+            {**generic, "equations": [
+                {**generic["equations"][0], "lhs": " + ".join(lhs[::-1])},
+                *generic["equations"][1:]]}):
+        rank = bad["rank"]
+        with pytest.raises(brent.BrentError, match="bad system record: "
+                           "equations are not those of "
+                           f"rank {rank}$"):
             brent.parse_system(bad)
 
 

@@ -303,13 +303,20 @@ def test_error_exit_codes(tmp_path):
     code, _ = capture(["check-solution", "--system", str(spaced),
                        "--assignment", str(tmp_path / "a.json")])
     assert code == 3
-    # a system whose polynomial does not parse
+    # a system with a malformed polynomial
     rec = brent.to_json(brent.generic_system(1))
     rec["equations"][5]["lhs"] = "x1_11*y1_1"
     system = tmp_path / "malformed.json"
     system.write_text(json.dumps(rec))
     assignment = tmp_path / "zero.json"
     assignment.write_text(json.dumps({v: "0" for v in rec["variables"]}))
+    code, _ = capture(["check-solution", "--system", str(system),
+                       "--assignment", str(assignment)])
+    assert code == 3
+    # a generic record whose first equation is edited to x1_11 = 5
+    rec = brent.to_json(brent.generic_system(1))
+    rec["equations"][0].update(lhs="x1_11", rhs="5")
+    system.write_text(json.dumps(rec))
     code, _ = capture(["check-solution", "--system", str(system),
                        "--assignment", str(assignment)])
     assert code == 3

@@ -151,9 +151,8 @@ def test_parse_grammar():
     assert parse_polynomial("- -a^2") == -parse_polynomial("a^2")
     assert parse_polynomial("a^0*b*a^2*a") == parse_polynomial("b*a^3")
     assert parse_polynomial("0^0 + 0*a + (a - a)^0") == Polynomial.constant(2)
-    # a product is one token, but an exponent still binds to one atom,
-    # a second exponent is left over, and a minus after * negates only
-    # the first factor
+    # an exponent binds to one atom, a second exponent is left over,
+    # and a minus after * negates only the factor after it
     for text in ("a^2^3", "z^2^3", "2^2^2", "(a)^2^3"):
         with pytest.raises(PolyParseError, match="trailing input"):
             parse_polynomial(text)
@@ -226,7 +225,7 @@ def test_parse_errors():
     # nothing bad was stored: every stored token is an operator or an
     # exponent, every stored factor a variable or a constant, and no
     # bad, zero-denominator or non-integer exponent text is a key of
-    # either; nor is any product
+    # either; nor is any product text, as atoms are stored one by one
     kinds = {"-", "+", "*", "^", "(", ")"}
     assert {tok[0] for tok in _TOKENS.values()} <= kinds
     assert {f[0] for f in _FACTORS.values()} <= {"const", "var"}
