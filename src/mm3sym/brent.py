@@ -155,6 +155,11 @@ def trivial_solution():
 
 # -- serialization ---------------------------------------------------
 
+def _ints_only(x):
+    """Whether x is made of ints only: no bool or float that equals one."""
+    return type(x) is int or type(x) is list and all(map(_ints_only, x))
+
+
 def _label_to_json(label):
     if isinstance(label, int):
         return label
@@ -183,7 +188,7 @@ def parse_system(rec):
     """The system a record's header names: the generic system of its
     rank or the invariant system of its multiset.  The record must be
     that system's export: its variables and equations are those of
-    to_json(system)."""
+    to_json(system), with every label made of ints."""
     if isinstance(rec, (str, bytes)):
         rec = json.loads(rec)
     try:
@@ -214,6 +219,9 @@ def parse_system(rec):
             if rec[part] != want[part]:
                 raise BrentError(
                     f"bad system record: {part} are not those of {name}")
+        if not all(_ints_only(eq["label"]) for eq in rec["equations"]):
+            raise BrentError(
+                f"bad system record: equations are not those of {name}")
         return system
     except (KeyError, TypeError, ValueError, CatalogError) as exc:
         raise BrentError(f"bad system record: {exc}") from exc

@@ -161,8 +161,8 @@ class Polynomial:
 
     def _substituted(self, assignment):
         # a monomial stops at its first zero factor: its term drops out.
-        # The generator and the parser give every unit coefficient as the
-        # ONE object, which the first value replaces instead of scaling.
+        # The Brent generator gives every unit coefficient as the ONE
+        # object, which the first value replaces instead of scaling.
         get = assignment.get
         coerce = Cyclotomic.coerce
         for m, c in self.terms.items():
@@ -320,23 +320,17 @@ _BRENT_NAME = r"[xyz]\d+_\d\d"
 _PARAM_NAME = r"[abcdfg]\d*"
 _VAR_RE = re.compile(f"{_BRENT_NAME}|{_PARAM_NAME}")
 
-# an atom is a variable, a number or a constant
-_ATOM = rf"{_BRENT_NAME}|\d+(?:/\d+)?|zb|[ziw]|{_PARAM_NAME}"
-
-# an exponent is one token with its integer
+# groups: an operator, a ^ with the integer that may follow it, and an
+# atom (a variable, a number or a constant); a match with none of them
+# is a bad token
 _TOKEN_RE = re.compile(
-    r"\s*("
-    r"[-+*()]"
-    r"|\^\s*\d+(?:/\d+)?"
-    f"|{_ATOM}"
-    r"|\^"
-    r"|\S"                # anything else is a bad token
-    r")"
+    r"\s*(?:([-+*()])"
+    r"|(\^)(?:\s*(\d+(?:/\d+)?))?"
+    rf"|({_BRENT_NAME}|\d+(?:/\d+)?|zb|[ziw]|{_PARAM_NAME})"
+    r"|\S)"
 )
 
-
-_TOKENS = {op: (op, op) for op in "-+*()"}
-_TOKENS["^"] = ("^", None)
+_CONSTANTS = {"z": ZETA, "zb": ZETA_BAR, "i": IMAG, "w": ROOT12}
 _END = (None, None)
 
 
@@ -346,58 +340,43 @@ class PolyParseError(ValueError):
 
 def _tokenize(text):
     """One regex pass; the tokens end with the _END sentinel.  An
-    operator's token is (op, op), an exponent's ("^", its integer) or
-    ("^", None) when no integer follows, and an atom's ("atom", text)."""
-    get = _TOKENS.get
-    tokens = [get(t) or _new_token(t, text) for t in _TOKEN_RE.findall(text)]
+    operator's token is (op, op), an exponent's ("^", its digits) or
+    ("^", None) when none follow, and an atom's ("atom", text)."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        op, caret, digits, atom = m.groups()
+        if op:
+            tokens.append((op, op))
+        elif caret:
+            tokens.append(("^", digits))
+        elif atom:
+            tokens.append(("atom", atom))
+        else:
+            raise PolyParseError(f"bad token at {text[m.start():]!r}")
     tokens.append(_END)
     return tokens
 
 
-def _new_token(t, text):
-    """The token of a text that _TOKENS does not hold.  An integer
-    exponent is stored in _TOKENS; any other exponent is ("^", None).
-    A lone character that is not an atom (a digit, a constant or a
-    parameter letter) is a bad token and raises."""
-    if t[0] == "^":
-        e = t[1:].lstrip()
-        if not e.isdecimal():
-            return ("^", None)
-        tok = _TOKENS[t] = ("^", int(e))
-        return tok
-    if len(t) > 1 or t.isdecimal() or t in "abcdfgiwz":
-        return ("atom", t)
-    bad = next(m for m in _TOKEN_RE.finditer(text) if m[1] == t)
-    raise PolyParseError(f"bad token at {text[bad.start():]!r}")
-
-
-def _factor(t):
-    """The factor of an atom's text such as a, x1_11 or 3/2: ("var", v)
-    or ("const", c)."""
-    c = t[0]
-    if c.isdecimal():
-        p, _, q = t.partition("/")
-        if q and not int(q):
-            raise PolyParseError(f"zero denominator in {t!r}")
-        return ("const", Cyclotomic.rational(int(p), int(q) if q else None))
-    if c in "abcdfg":
-        return ("var", ParamId(int(t[1:] or 0), c))
-    return ("var", BrentVar("xyz".index(c), int(t[1:-3]),
-                            int(t[-2]), int(t[-1])))
-
-
-# atom text -> factor, resolved once; a zero denominator raises and is
-# not stored
-_FACTORS = _Memo(_factor)
-_FACTORS.update(
-    (name, ("const", c))
-    for name, c in (("z", ZETA), ("zb", ZETA_BAR), ("i", IMAG), ("w", ROOT12)))
+def _atom(t):
+    """The polynomial of an atom's text such as a, x1_11, 3/2 or zb."""
+    if t in _CONSTANTS:
+        return Polynomial.constant(_CONSTANTS[t])
+    if not t[0].isdecimal():
+        return Polynomial.variable(var_from_str(t))
+    p, _, q = t.partition("/")
+    if not q:
+        return Polynomial.constant(int(p))
+    if not int(q):
+        raise PolyParseError(f"zero denominator in {t!r}")
+    return Polynomial.constant(Cyclotomic.rational(int(p), int(q)))
 
 
 def var_from_str(s):
     if _VAR_RE.fullmatch(s) is None:
         raise PolyParseError(f"bad variable name {s!r}")
-    return _FACTORS[s][1]
+    if s[0] in "abcdfg":
+        return ParamId(int(s[1:] or 0), s[0])
+    return BrentVar("xyz".index(s[0]), int(s[1:-3]), int(s[-2]), int(s[-1]))
 
 
 def _expr(tokens, pos):
@@ -410,19 +389,14 @@ def _expr(tokens, pos):
         atom   := number | z | zb | i | w | variable | ( expr )
 
     A unary minus binds tighter than ^, so 2*-a^2 is 2*a^2.  One dict
-    holds the sum, not a copy per term.  Each product folds its
-    numbers, constants and variables into one coefficient and one
-    exponent map; only a parenthesised factor is multiplied as a
-    Polynomial."""
+    holds the sum, not a copy per term."""
     terms = {}
     kind = tokens[pos][0]
     while True:
         negate = kind == "-"
         if negate or kind == "+":
             pos += 1
-        coeff = ONE
-        exps = {}
-        polys = ()
+        term = None
         while True:
             kind, t = tokens[pos]
             pos += 1
@@ -432,51 +406,29 @@ def _expr(tokens, pos):
                 kind, t = tokens[pos]
                 pos += 1
             if kind == "atom":
-                kind, x = _FACTORS[t]
+                x = _atom(t)
             elif kind == "(":
                 inner, pos = _expr(tokens, pos)
                 if tokens[pos][0] != ")":
                     raise PolyParseError("missing closing parenthesis")
                 pos += 1
-                kind, x = "poly", Polynomial(inner)
+                x = Polynomial(inner)
             else:
                 raise PolyParseError(f"unexpected token {kind!r}")
-            e = 1
+            if minus:
+                x = -x
             if tokens[pos][0] == "^":
                 e = tokens[pos][1]
                 pos += 1
-                if e is None:
+                if e is None or not e.isdecimal():
                     raise PolyParseError("exponent must be an integer")
-                if kind != "var":
-                    x = x ** e
-                elif not e:
-                    kind, x = "const", ONE
-            if kind == "var":
-                exps[x] = exps.get(x, 0) + e
-            elif kind == "const":
-                coeff = coeff * x
-            else:
-                polys += (x,)
-            # a unary minus negates the atom, before its exponent
-            if minus and e & 1:
-                coeff = -coeff
+                x = x ** int(e)
+            term = x if term is None else term * x
             kind = tokens[pos][0]
             if kind != "*":
                 break
             pos += 1
-        if coeff is ONE or coeff:
-            if negate:
-                coeff = -coeff
-            mono = tuple(sorted(exps.items(), key=_item_key))
-            if polys:
-                out = Polynomial({mono: coeff})
-                for p in polys:
-                    out = out * p
-                add_into(terms, out.terms.items())
-            elif mono in terms:
-                add_into(terms, ((mono, coeff),))
-            else:
-                terms[mono] = coeff
+        add_into(terms, (-term if negate else term).terms.items())
         if kind != "+" and kind != "-":
             return terms, pos
 

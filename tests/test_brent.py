@@ -215,6 +215,16 @@ def test_parse_system_rejects_bad_records():
     with pytest.raises(brent.BrentError, match="bad system record: "
                        "equations are not those of multiset"):
         brent.parse_system({**rec, "multiset": [5, 9]})
+    # a label is made of ints: true for 1 and 2.0 for 2 compare equal to
+    # the export's labels but are not them
+    first, second, *rest = rec["equations"]
+    assert (first["label"], second["label"]) == (1, 2)
+    for bad in ({**rec, "equations": [{**first, "label": True}, second, *rest]},
+                {**rec, "equations": [first, {**second, "label": 2.0}, *rest]}):
+        assert bad == rec
+        with pytest.raises(brent.BrentError, match="bad system record: "
+                           "equations are not those of multiset"):
+            brent.parse_system(bad)
     # a generic rank is a positive int whose 27*rank coordinates are the
     # record's variables, in export order
     generic = json.loads(brent.export(brent.generic_system(2), "json"))
@@ -230,11 +240,13 @@ def test_parse_system_rejects_bad_records():
         with pytest.raises(brent.BrentError, match="bad system record"):
             brent.parse_system(bad)
     # and its equations must be the rank's export as printed: an edited
-    # equation or label is another system, and two lhs terms swapped
-    # are the same equation printed otherwise
+    # equation or label is another system, a label of true and 1.0 is
+    # not the export's ints, and two lhs terms swapped are the same
+    # equation printed otherwise
     one = json.loads(brent.export(brent.generic_system(1), "json"))
     first, *rest = one["equations"]
     assert first["lhs"] == "x1_11*y1_11*z1_11"
+    assert first["label"] == [[1, 1], [1, 1], [1, 1]]
     lhs = generic["equations"][0]["lhs"].split(" + ")
     assert len(lhs) == 2
     for bad in (
@@ -242,6 +254,8 @@ def test_parse_system_rejects_bad_records():
                                   *rest]},
             {**one, "equations": [{**first, "label": rest[0]["label"]},
                                   *rest]},
+            {**one, "equations": [{**first, "label": [[True, 1.0], [1, 1],
+                                                      [1, 1]]}, *rest]},
             {**generic, "equations": [
                 {**generic["equations"][0], "lhs": " + ".join(lhs[::-1])},
                 *generic["equations"][1:]]}):

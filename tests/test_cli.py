@@ -235,6 +235,16 @@ def test_check_solution(tmp_path):
                           "--assignment", str(bad_path)])
     assert code == 1
     assert text.startswith("SOLUTION FAILS 1 equations")
+    # values in the benchmark's Gaussian spelling: i*(-i) = 1 keeps term
+    # 1 a solution, i*(1 - i) does not
+    gauss = {str(k): str(v) for k, v in brent.trivial_solution().items()}
+    for y, want_code, want_text in (("0 - 1*i", 0, "SOLUTION OK\n"),
+                                    ("1 - 1*i", 1, "SOLUTION FAILS ")):
+        gauss.update(x1_11="0 + 1*i", y1_11=y)
+        bad_path.write_text(json.dumps(gauss))
+        code, text = capture(["check-solution", "--system", str(sys_path),
+                              "--assignment", str(bad_path)])
+        assert code == want_code and text.startswith(want_text), y
 
 
 def test_check_solution_undeclared_variable(tmp_path):
