@@ -244,9 +244,7 @@ def _wbasis(c):
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{q}*{mono}")
-    if not parts:
-        return "0"
-    return "+".join(parts).replace("+-", "-")
+    return _m2_sum(parts)
 
 
 def _m2_poly(p):
@@ -264,6 +262,12 @@ def _m2_poly(p):
             name = names[v].replace("_", "")
             factors.append(name if e == 1 else f"{name}^{e}")
         parts.append("*".join(factors))
+    return _m2_sum(parts)
+
+
+def _m2_sum(parts):
+    """Join signed terms such as "2", "-ww" with + as an m2 sum, or "0"
+    when there are none."""
     return "+".join(parts).replace("+-", "-") if parts else "0"
 
 

@@ -25,6 +25,34 @@ def _canon(x):
     raise TypeError(f"coordinate must be an int or a Fraction, not {x!r}")
 
 
+def _power(x, n, one):
+    """x ** n by square-and-multiply, for any ring element x whose
+    multiplicative identity is one; stops after the last exponent bit,
+    so x ** 1 makes no product."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        x = x * x
+
+
+def _signed_sum(terms):
+    """Join (body, sign_is_negative) pairs as "a - b + c", or "0" when
+    there are none."""
+    parts = []
+    for body, negate in terms:
+        if parts:
+            parts.append(("- " if negate else "+ ") + body)
+        else:
+            parts.append("-" + body if negate else body)
+    return " ".join(parts) if parts else "0"
+
+
 def _make(c0, c1, c2, c3):
     """Wrap coordinates that are already ints or Fractions; only a
     Fraction result needs normalizing."""
@@ -100,17 +128,7 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return ONE if out is None else out
-            base = base * base
+        return _power(self, n, ONE)
 
     def galois(self, k):
         """Image under the automorphism w -> w^k, k in {1, 5, 7, 11}."""
@@ -176,21 +194,11 @@ class Cyclotomic:
         return (c0 + c2, c2, c3, -c1)
 
     def __str__(self):
-        parts = []
-        for q, sym in zip(self.qbasis(), (None, "z", "i", "i*z")):
-            if q == 0:
-                continue
-            if sym is None:
-                body = str(abs(q))
-            elif abs(q) == 1:
-                body = sym
-            else:
-                body = f"{abs(q)}*{sym}"
-            if not parts:
-                parts.append(body if q > 0 else "-" + body)
-            else:
-                parts.append(("+ " if q > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
+        return _signed_sum(
+            (str(abs(q)) if sym is None
+             else sym if abs(q) == 1
+             else f"{abs(q)}*{sym}", q < 0)
+            for q, sym in zip(self.qbasis(), (None, "z", "i", "i*z")) if q)
 
     def __repr__(self):
         return f"Cyclotomic({self.coords})"

@@ -9,8 +9,8 @@ with orbit length l is l times the projection.
 
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, ONE
-from .poly import Polynomial, add_into, _signed_sum, _term_str
+from .cyclotomic import Cyclotomic, ONE, _signed_sum
+from .poly import Polynomial, add_into, _term_str
 from .tensors import Tensor, all_indices, index_is_even, tensor_sum
 from . import group
 

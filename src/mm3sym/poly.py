@@ -11,7 +11,9 @@ of term maps is equality of polynomials.
 import re
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
+from .cyclotomic import (
+    Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12, _power, _signed_sum,
+)
 
 __all__ = [
     "ParamId", "BrentVar", "Polynomial",
@@ -93,7 +95,7 @@ class Polynomial:
     def coerce(x):
         if isinstance(x, Polynomial):
             return x
-        return Polynomial.constant(Cyclotomic.coerce(x))
+        return Polynomial.constant(x)
 
     # -- ring structure ----------------------------------------------
 
@@ -114,37 +116,17 @@ class Polynomial:
 
     def __mul__(self, other):
         other = Polynomial.coerce(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                m = _mono_mul(m1, m2)
-                s = terms.get(m)
-                if s is None:
-                    terms[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
-        return Polynomial(terms)
+        # Q(zeta_12) is a field and terms hold only nonzero
+        # coefficients, so no product c1 * c2 is 0
+        return Polynomial(add_into({}, [
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()]))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Polynomial.constant(1))
 
     def scale(self, c):
         c = Cyclotomic.coerce(c)
@@ -201,9 +183,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(m == () for m in self.terms)
@@ -276,18 +255,6 @@ def _mono_mul(m1, m2):
 def _mono_str(m):
     names = _NAMES
     return "*".join([names[v] if e == 1 else f"{names[v]}^{e}" for v, e in m])
-
-
-def _signed_sum(terms):
-    """Join (body, sign_is_negative) pairs as "a - b + c", or "0" when
-    there are none."""
-    parts = []
-    for body, negate in terms:
-        if parts:
-            parts.append(("- " if negate else "+ ") + body)
-        else:
-            parts.append("-" + body if negate else body)
-    return " ".join(parts) if parts else "0"
 
 
 def _term_str(m, c):

@@ -149,10 +149,6 @@ def count_multisets(max_length):
 
 # -- proof steps -----------------------------------------------------
 
-def _fresh(fid):
-    return get_family(fid).tensor()
-
-
 def _require(cond, name, detail=""):
     if not cond:
         raise ProofError(f"proof step {name} failed {detail}".strip())
@@ -164,11 +160,11 @@ def small_type_ids(budget):
                   if fam.length <= budget)
 
 
-def check_replacement(facts=None):
+def check_replacement():
     """Replacement argument for the nine reducible types: their orbit
     sums live in the span of gamma_1, gamma_2, gamma_6, which is also
     spanned by the three explicit short orbits of total length 6."""
-    facts = {} if facts is None else facts
+    facts = {}
     table = gamma_table()
     for fid in sorted(REPLACEABLE_LARGE | REPLACEABLE_EQUAL):
         support = table[fid].support()
@@ -213,11 +209,11 @@ def check_replacement(facts=None):
     return facts
 
 
-def check_gamma9_12(facts=None):
+def check_gamma9_12():
     """The ten remaining-support length-18 types force companions whose
     orbit sums all have equal gamma_9..gamma_12 coordinates, which the
     target tensor violates."""
-    facts = {} if facts is None else facts
+    facts = {}
     table = gamma_table()
     companions = small_type_ids(MAX_LENGTH - 18)
     _require(companions == [5, 6, 7, 9], "gamma9_12.companions", str(companions))
@@ -227,7 +223,7 @@ def check_gamma9_12(facts=None):
     )
     for fid in sorted(GAMMA_9_12_TYPES | {5, 6, 7}):
         for m in (9, 10, 11, 12):
-            _require(table[fid][m].is_zero(), "gamma9_12.zero",
+            _require(not table[fid][m], "gamma9_12.zero",
                      f"family {fid} gamma_{m}")
         facts[f"gamma9_12.zero.{fid}"] = (
             f"orbit sum of family {fid} has zero g9..g12 coordinates"
@@ -240,7 +236,7 @@ def check_gamma9_12(facts=None):
     tg = t_gamma()
     _require(tg[9] == Polynomial.constant(1), "gamma9_12.target.g9", str(tg[9]))
     for m in (10, 11, 12):
-        _require(tg[m].is_zero(), "gamma9_12.target", f"gamma_{m}")
+        _require(not tg[m], "gamma9_12.target", f"gamma_{m}")
     facts["gamma9_12.target"] = "target tensor has (g9, g10, g11, g12) = (1, 0, 0, 0)"
     return facts
 
@@ -252,18 +248,18 @@ def _diagonal_part(t):
     })
 
 
-def check_sign_table(facts=None):
+def check_sign_table():
     """The four sign-table types: case (a) kills companions containing
     type 9 through diagonal entries, case (b) kills the rest through
     the g9..g12 sign table."""
-    facts = {} if facts is None else facts
+    facts = {}
     table = gamma_table()
     # case (a): the four families have no diagonal-triple entries, so
     # the diagonal part of the sum comes from types 9 and 7 alone and
     # is a multiple of the all-ones diagonal pattern
     for fid in sorted(GAMMA_TABLE_TYPES):
-        _require(not _diagonal_part(_fresh(fid)), "sign_table.diag",
-                 f"family {fid}")
+        _require(not _diagonal_part(get_family(fid).tensor()),
+                 "sign_table.diag", f"family {fid}")
         facts[f"sign_table.diag.{fid}"] = (
             f"family {fid} has no e(ii,jj,kk) entries"
         )
@@ -279,7 +275,7 @@ def check_sign_table(facts=None):
     T = matmul_tensor()
     one = Polynomial.constant(1)
     _require(T.coeff(((1, 1), (1, 1), (1, 1))) == one, "sign_table.target.diag")
-    _require(T.coeff(((1, 1), (1, 1), (2, 2))).is_zero(), "sign_table.target.diag")
+    _require(not T.coeff(((1, 1), (1, 1), (2, 2))), "sign_table.target.diag")
     facts["sign_table.target.diag"] = (
         "target tensor has coefficient 1 at e(11,11,11) and 0 at e(11,11,22)"
     )
@@ -320,22 +316,22 @@ def check_sign_table(facts=None):
     return facts
 
 
-def check_e_class(facts=None):
+def check_e_class():
     """Type 35: case (a) is the diagonal argument again; case (b) uses
     the e(11,12,21) class, which the target involves but neither the
     type-35 orbit sum nor any short companion does."""
-    facts = {} if facts is None else facts
+    facts = {}
     table = gamma_table()
     for fid in sorted(E_CLASS_TYPES):
-        _require(not _diagonal_part(_fresh(fid)), "e_class.diag",
-                 f"family {fid}")
+        _require(not _diagonal_part(get_family(fid).tensor()),
+                 "e_class.diag", f"family {fid}")
         facts[f"e_class.diag.{fid}"] = f"family {fid} has no e(ii,jj,kk) entries"
-        _require(table[fid][3].is_zero(), "e_class.g3", f"family {fid}")
+        _require(not table[fid][3], "e_class.g3", f"family {fid}")
         facts[f"e_class.g3.{fid}"] = (
             f"orbit sum of family {fid} has zero g3 coordinate"
         )
     for fid in (5, 6, 7):
-        _require(table[fid][3].is_zero(), "e_class.g3", f"family {fid}")
+        _require(not table[fid][3], "e_class.g3", f"family {fid}")
         facts[f"e_class.g3.{fid}"] = (
             f"orbit sum of family {fid} has zero g3 coordinate"
         )
@@ -344,11 +340,11 @@ def check_e_class(facts=None):
     return facts
 
 
-def check_final(facts=None):
+def check_final():
     """The surviving types all have pi12-symmetric representatives, so
     their orbit sums carry g3 and g5 with equal coefficients (or, for
     type 44, neither); the target has (g3, g5) = (1, 0)."""
-    facts = {} if facts is None else facts
+    facts = {}
     table = gamma_table()
     rest = remaining_types()
     want = frozenset({1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
@@ -359,13 +355,13 @@ def check_final(facts=None):
     )
     for fid in sorted(rest):
         if fid == 44:
-            _require(table[fid][3].is_zero() and table[fid][5].is_zero(),
+            _require(not table[fid][3] and not table[fid][5],
                      "final.g3g5", "family 44")
             facts["final.g3g5.44"] = (
                 "orbit sum of family 44 involves neither g3 nor g5"
             )
             continue
-        w = _fresh(fid)
+        w = get_family(fid).tensor()
         _require(pi12(w) == w, "final.pi12", f"family {fid}")
         _require(table[fid][3] == table[fid][5], "final.g3g5",
                  f"family {fid}")
@@ -374,7 +370,7 @@ def check_final(facts=None):
             "g3 and g5 coordinates"
         )
     tg = t_gamma()
-    _require(tg[3] == Polynomial.constant(1) and tg[5].is_zero(),
+    _require(tg[3] == Polynomial.constant(1) and not tg[5],
              "final.target")
     facts["final.target"] = "target tensor has (g3, g5) = (1, 0)"
     return facts
@@ -439,12 +435,8 @@ def verify_theorem(max_length=MAX_LENGTH):
     raises ValueError above MAX_LENGTH."""
     if max_length > MAX_LENGTH:
         raise ValueError(f"max_length must be <= {MAX_LENGTH}")
-    facts = {}
-    check_replacement(facts)
-    check_gamma9_12(facts)
-    check_sign_table(facts)
-    check_e_class(facts)
-    check_final(facts)
+    facts = {**check_replacement(), **check_gamma9_12(), **check_sign_table(),
+             **check_e_class(), **check_final()}
     certificates = []
     survivors = []
     rule_counts = {rule: 0 for rule in RULES}

@@ -92,6 +92,25 @@ def test_rational_predicates():
 def test_power_errors():
     with pytest.raises(ValueError):
         ZETA ** -1
+    with pytest.raises(ValueError):
+        ZETA ** 1.0
+
+
+def test_pow_products(monkeypatch):
+    x = ONE + IMAG * 2
+    want = ONE
+    for n in range(9):
+        assert x ** n == want
+        want = want * x
+    # square-and-multiply stops after the last exponent bit
+    calls = []
+    mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        calls.clear()
+        x ** n
+        assert len(calls) == products, n
 
 
 def test_printing():

@@ -72,12 +72,25 @@ def test_ring_axioms():
         assert p * 1 == p
 
 
-def test_pow():
+def test_pow(monkeypatch):
     p = Polynomial.variable(A) + 1
     assert p ** 0 == Polynomial.constant(1)
     assert p ** 3 == p * p * p
+    want = Polynomial.constant(1)
+    for n in range(9):
+        assert p ** n == want
+        want = want * p
     with pytest.raises(ValueError):
         p ** -1
+    # square-and-multiply stops after the last exponent bit
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        calls.clear()
+        p ** n
+        assert len(calls) == products, n
 
 
 def test_substitute():

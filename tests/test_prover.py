@@ -153,8 +153,7 @@ def test_replacement_budget_data():
 
 def test_proof_error_on_corrupted_table():
     # the proof steps really check: a wrong expectation must raise
-    facts = {}
-    prover.check_replacement(facts)
+    prover.check_replacement()
     with pytest.raises(prover.ProofError):
         prover._require(False, "demo")
 
