@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import group
 from .cyclotomic import Cyclotomic
-from .poly import Polynomial, ParamId, parse_polynomial
+from .poly import Polynomial, ParamId, _Memo, parse_polynomial
 from .tensors import Tensor, pi12, tensor_from_factors
 
 __all__ = [
@@ -27,6 +27,10 @@ __all__ = [
 # Families whose tensor is linear in the parameter array (z' = z in the
 # scaling law); all the others are homogeneous of degree 3.
 LINEAR_SCALING_FAMILIES = frozenset({6, 7, 17, 18, 19, 20, 39, 41})
+
+# cell text -> Polynomial, so that each distinct text is parsed once and
+# equal cells are one object, which tensor_from_factors multiplies once
+_CELLS = _Memo(parse_polynomial)
 
 
 class CatalogError(Exception):
@@ -87,10 +91,10 @@ class OrbitFamily(NamedTuple):
     @classmethod
     def from_json(cls, rec):
         factors = tuple(
-            tuple(tuple(parse_polynomial(s) for s in row) for row in m)
+            tuple(tuple(_CELLS[s] for s in row) for row in m)
             for m in rec["factors"]
         )
-        scale = parse_polynomial(rec["scale"]) if "scale" in rec else None
+        scale = _CELLS[rec["scale"]] if "scale" in rec else None
         return cls(rec["id"], rec["length"], "".join(rec["params"]),
                    rec["power"], scale, factors)
 

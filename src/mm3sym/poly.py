@@ -9,6 +9,7 @@ of term maps is equality of polynomials.
 """
 
 import re
+from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import (
@@ -195,7 +196,7 @@ class Polynomial:
         return self.terms[()]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Cyclotomic)):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
             other = Polynomial.coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -146,8 +146,13 @@ def _idx_str(alpha):
 
 
 def tensor_from_factors(x, y, z):
-    """Expand x (x) y (x) z into basis entries."""
+    """Expand x (x) y (x) z into basis entries.  Each product of cells
+    is made once per multiset of cell objects, so entries whose cells
+    are the same objects in some order share one Polynomial; sharing is
+    safe since no Polynomial is changed after it is built, and keying by
+    id is safe since x, y and z hold every cell for the whole call."""
     entries = {}
+    products = {}
     for i1 in range(3):
         for j1 in range(3):
             px = x[i1][j1]
@@ -158,14 +163,17 @@ def tensor_from_factors(x, y, z):
                     py = y[i2][j2]
                     if not py:
                         continue
-                    pxy = px * py
                     for i3 in range(3):
                         for j3 in range(3):
                             pz = z[i3][j3]
                             if not pz:
                                 continue
+                            key = tuple(sorted((id(px), id(py), id(pz))))
+                            p = products.get(key)
+                            if p is None:
+                                p = products[key] = px * py * pz
                             alpha = ((i1 + 1, j1 + 1), (i2 + 1, j2 + 1), (i3 + 1, j3 + 1))
-                            entries[alpha] = pxy * pz
+                            entries[alpha] = p
     return Tensor(entries)
 
 

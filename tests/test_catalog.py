@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from importlib import resources
@@ -89,6 +90,40 @@ def test_all_families_is_packaged_catalog():
         # a record: equal by value to a fresh parse, and hashable
         assert fam == OrbitFamily.from_json(rec)
         assert hash(fam) == hash(OrbitFamily.from_json(rec))
+
+
+def test_equal_cells_are_one_object():
+    # each distinct cell text is parsed once, so that tensor_from_factors
+    # can make each product of cells once
+    text = resources.files("mm3sym").joinpath("data/catalog.json").read_text()
+    objects = {}
+    for rec in json.loads(text)["families"]:
+        fam = all_families()[rec["id"]]
+        for m, parsed in zip(rec["factors"], fam.factors):
+            for row, cells in zip(m, parsed):
+                for s, p in zip(row, cells):
+                    objects.setdefault(s, set()).add(id(p))
+        if "scale" in rec:
+            objects.setdefault(rec["scale"], set()).add(id(fam.scale))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) == 26
+
+
+def test_products_of_cells_are_shared():
+    # family 9 is the cube of a matrix over the cells a and b, so its 729
+    # entries are the 4 products a^3, a^2 b, a b^2 and b^3
+    t = get_family(9).tensor()
+    assert len(t) == 729
+    assert len({id(p) for p in t.entries.values()}) <= 4
+
+
+def test_family_tensors_digest():
+    # pinned before the tensors' cells and products were shared
+    h = hashlib.sha256()
+    for fid in sorted(all_families()):
+        h.update(get_family(fid).tensor().dumps().encode())
+    assert h.hexdigest() == (
+        "74744404076fbc50d26456e351575f062dc9291b648c0a49768401c147748a3a")
 
 
 def test_verify_catalog_full():

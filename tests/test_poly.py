@@ -72,6 +72,17 @@ def test_ring_axioms():
         assert p * 1 == p
 
 
+def test_eq_coerces_scalars():
+    assert Polynomial.constant(3) == 3
+    assert Polynomial.constant(3) != 4
+    assert Polynomial.constant(ZETA) == ZETA
+    assert Polynomial.constant(ZETA) != IMAG
+    assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
+    assert Polynomial.constant(Fraction(1, 2)) != Fraction(1, 3)
+    assert Polynomial() == Fraction(0)
+    assert Polynomial.variable(A) != Fraction(1, 2)
+
+
 def test_pow(monkeypatch):
     p = Polynomial.variable(A) + 1
     assert p ** 0 == Polynomial.constant(1)

@@ -1,6 +1,10 @@
+import json
 import random
+from importlib import resources
 
-from mm3sym.poly import Polynomial, parse_polynomial
+from mm3sym.catalog import get_family
+from mm3sym.cyclotomic import Cyclotomic, IMAG, ZETA
+from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import (
     encode_index, decode_index, all_indices, index_is_even,
     Tensor, tensor_from_factors, matrix, pi12,
@@ -86,3 +90,72 @@ def test_items_sorted():
     t = Tensor({((3, 3), (3, 3), (3, 3)): one, ((1, 1), (1, 1), (1, 1)): one})
     keys = [a for a, _ in t.items()]
     assert keys == sorted(keys, key=encode_index)
+
+
+def reference_tensor(x, y, z, scale=None):
+    """x (x) y (x) z as x[a] * y[b] * z[c] at every index, one product
+    per entry."""
+    entries = {}
+    for alpha in all_indices():
+        (i1, j1), (i2, j2), (i3, j3) = alpha
+        p = x[i1 - 1][j1 - 1] * y[i2 - 1][j2 - 1] * z[i3 - 1][j3 - 1]
+        if scale is not None:
+            p = p * scale
+        if p:
+            entries[alpha] = p
+    return Tensor(entries)
+
+
+def _fresh(texts, cell=parse_polynomial):
+    """A factor matrix whose cells are parsed apart: no two share an
+    object, even where their texts are equal."""
+    return tuple(tuple(cell(s) for s in row) for row in texts)
+
+
+def _catalog_records():
+    text = resources.files("mm3sym").joinpath("data/catalog.json").read_text()
+    return json.loads(text)["families"]
+
+
+def _reference_family_tensor(rec, cell=parse_polynomial):
+    ms = rec["factors"]
+    order = {"cube": (0, 0, 0), "square": (0, 0, 1), "triple": (0, 1, 2)}
+    x, y, z = (_fresh(ms[k], cell) for k in order[rec["power"]])
+    scale = cell(rec["scale"]) if "scale" in rec else None
+    return reference_tensor(x, y, z, scale)
+
+
+def test_family_tensors_match_reference():
+    recs = _catalog_records()
+    for rec in recs:
+        fam = get_family(rec["id"])
+        assert fam.tensor() == _reference_family_tensor(rec), rec["id"]
+        slot2 = lambda s: parse_polynomial(s).map_vars(
+            lambda v: ParamId(2, v.letter))
+        assert fam.tensor(slot=2) == _reference_family_tensor(rec, slot2)
+    for fid, values in ((17, [ZETA + 2]), (38, [2, IMAG - 1, 3, ZETA, -1])):
+        rec = recs[fid - 1]
+        assert len(values) == len(rec["params"])
+        assignment = {ParamId(0, letter): Cyclotomic.coerce(v)
+                      for letter, v in zip(rec["params"], values)}
+        at = lambda s: parse_polynomial(s).substitute(assignment)
+        assert get_family(fid).tensor(values) == \
+            _reference_family_tensor(rec, at)
+
+
+def test_shared_cells_match_reference():
+    # multi-term cells, each one object repeated across a matrix, so that
+    # x is y and x is y is z put the same objects in different positions
+    rng = random.Random(43)
+    pool = ["a + z*b", "2 - i*c", "a", "b*c - 1", "3", "0"]
+    for _ in range(12):
+        texts = [[[rng.choice(pool) for _ in range(3)] for _ in range(3)]
+                 for _ in range(3)]
+        cells = {s: parse_polynomial(s) for s in pool}
+        x, y, z = (tuple(tuple(cells[s] for s in row) for row in m)
+                   for m in texts)
+        fx, fy, fz = (_fresh(m) for m in texts)
+        assert tensor_from_factors(x, x, x) == reference_tensor(fx, fx, fx)
+        assert tensor_from_factors(x, x, z) == reference_tensor(fx, fx, fz)
+        assert tensor_from_factors(x, y, z) == reference_tensor(fx, fy, fz)
+        assert tensor_from_factors(z, x, z) == reference_tensor(fz, fx, fz)
