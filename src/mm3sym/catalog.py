@@ -64,20 +64,28 @@ class OrbitFamily(NamedTuple):
                 ParamId(0, letter): Cyclotomic.coerce(v)
                 for letter, v in zip(self.params, params)
             }
-            factors = [
-                tuple(tuple(p.substitute(assignment) for p in row) for row in m)
-                for m in factors
-            ]
-            if scale is not None:
-                scale = scale.substitute(assignment)
+            rebuild = lambda p: p.substitute(assignment)
         elif slot != 0:
             rename = lambda v: ParamId(slot, v.letter)
-            factors = [
-                tuple(tuple(p.map_vars(rename) for p in row) for row in m)
-                for m in factors
-            ]
+            rebuild = lambda p: p.map_vars(rename)
+        else:
+            rebuild = None
+        if rebuild is not None:
+            # each distinct cell object once, so that equal cells stay one
+            # object and tensor_from_factors multiplies them once; keying
+            # by id is safe since self holds every cell
+            done = {}
+
+            def cell(p):
+                q = done.get(id(p))
+                if q is None:
+                    q = done[id(p)] = rebuild(p)
+                return q
+
+            factors = [tuple(tuple(map(cell, row)) for row in m)
+                       for m in factors]
             if scale is not None:
-                scale = scale.map_vars(rename)
+                scale = cell(scale)
         if self.power == "cube":
             t = tensor_from_factors(factors[0], factors[0], factors[0])
         elif self.power == "square":

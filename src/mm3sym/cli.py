@@ -59,11 +59,17 @@ def _write(path, data, out):
             fh.write(data)
 
 
-def _json_report(report):
-    """The report as json.dumps(rec, indent=1) + "\n", byte for byte.
-    With indent set, the stdlib encodes in pure Python, so only the head
-    goes through it; each certificate is written directly, and its
-    rule/identities tail is encoded once per distinct pair."""
+# certificates per write of the JSON report, so that the whole report is
+# never one string
+_REPORT_BLOCK = 1024
+
+
+def _write_json_report(report, out):
+    """Write the report as json.dumps(rec, indent=1) + "\n", byte for
+    byte.  With indent set, the stdlib encodes in pure Python, so only
+    the head goes through it; the certificates are written directly, a
+    block of them at a time, and each distinct rule/identities tail is
+    built once from the C-encoded strings."""
     rec = {
         "max_length": report.max_length,
         "verified": report.verified,
@@ -72,24 +78,29 @@ def _json_report(report):
         "survivors": [list(m) for m in report.survivors],
         "facts": dict(sorted(report.facts.items())),
     }
+    # the head without its closing brace
+    out.write(json.dumps(rec, indent=1)[:-2] + ',\n "certificates": ')
+    certificates = report.certificates
+    if not certificates:
+        out.write("[]\n}\n")
+        return
     tails = {}
-    items = []
-    for c in report.certificates:
-        key = c.rule, c.identities
-        tail = tails.get(key)
-        if tail is None:
-            # the pair at indent 1, shifted to a certificate's indent 3,
-            # without its opening brace
-            tail = tails[key] = json.dumps(
-                {"rule": c.rule, "identities": c.identities}, indent=1,
-            ).replace("\n", "\n  ")[2:]
-        items.append('  {\n   "multiset": [\n    '
-                     + ",\n    ".join(map(str, c.multiset))
-                     + "\n   ],\n" + tail)
-    array = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    # the head without its closing brace, then the certificates array
-    return (json.dumps(rec, indent=1)[:-2] + ',\n "certificates": '
-            + array + "\n}\n")
+    for start in range(0, len(certificates), _REPORT_BLOCK):
+        items = []
+        for c in certificates[start:start + _REPORT_BLOCK]:
+            key = c.rule, c.identities
+            tail = tails.get(key)
+            if tail is None:
+                # the pair as it sits at a certificate's indent 3
+                names = ",\n    ".join(map(json.dumps, c.identities))
+                tail = tails[key] = (
+                    f'   "rule": {json.dumps(c.rule)},\n   "identities": '
+                    + (f"[\n    {names}\n   ]" if names else "[]") + "\n  }")
+            items.append('  {\n   "multiset": [\n    '
+                         + ",\n    ".join(map(str, c.multiset))
+                         + "\n   ],\n" + tail)
+        out.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
+    out.write("\n ]\n}\n")
 
 
 def _cmd_verify(args, out):
@@ -97,7 +108,7 @@ def _cmd_verify(args, out):
         raise UsageError(f"--max-length must be between 1 and {prover.MAX_LENGTH}")
     report = prover.verify_theorem(args.max_length)
     if args.report == "json":
-        out.write(_json_report(report))
+        _write_json_report(report, out)
     else:
         out.write(report.summary() + "\n")
         out.write("certificates by rule:\n")

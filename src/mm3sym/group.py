@@ -12,6 +12,8 @@ signs, so 36 position tables and 8 sign vectors serve every element.
 """
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter, mul
 import re
 from typing import NamedTuple
 
@@ -43,6 +45,11 @@ _B_WORDS = {
 def perm_mul(p, q):
     """(p*q)(k) = p(q(k))."""
     return tuple(p[q[k] - 1] for k in range(3))
+
+
+def perm_inverse(p):
+    """The q with q(p(k)) = k."""
+    return tuple(p.index(k) + 1 for k in (1, 2, 3))
 
 
 def perm_sign(p):
@@ -153,10 +160,24 @@ def _positions():
 @lru_cache(maxsize=None)
 def _position_table(perm, bperm):
     """The target position of each position under every element with
-    this image in S3 x S3."""
-    indices, position = _positions()
-    g = GroupElement(perm, (1, 1, 1), bperm)
-    return tuple(position[act_on_index(g, alpha)[0]] for alpha in indices)
+    this image in S3 x S3.  Relabelling the entries and moving the pairs
+    commute, so a mixed table is the relabelling table read at the moving
+    table; only the 11 pure tables go through act_on_index.  The entries
+    are the int objects of _positions(), shared by every table."""
+    if (1, 2, 3) in (perm, bperm):
+        indices, position = _positions()
+        g = GroupElement(perm, (1, 1, 1), bperm)
+        return tuple(position[act_on_index(g, alpha)[0]] for alpha in indices)
+    return itemgetter(*_position_table((1, 2, 3), bperm))(
+        _position_table(perm, (1, 2, 3)))
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(perm, bperm):
+    """The source position of each target position under every element
+    with this image: the table of the inverse image, since the images
+    multiply as the elements do."""
+    return _position_table(perm_inverse(perm), perm_inverse(bperm))
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +186,23 @@ def _sign_vector(signs):
     target position."""
     g = GroupElement((1, 2, 3), signs)
     return tuple(act_on_index(g, beta)[1] for beta in _positions()[0])
+
+
+@lru_cache(maxsize=None)
+def _position_orbits():
+    """The orbits of S3 x S3 on the 729 positions, each in increasing
+    order, and the number of the orbit of each position.  An image of a
+    tensor is 0 outside the orbits that meet its support."""
+    tables = [_position_table(p, b) for p in S3_ELEMENTS for b in S3_ELEMENTS]
+    orbit_of = [None] * 729
+    orbits = []
+    for n in _positions()[1].values():
+        if orbit_of[n] is None:
+            members = tuple(sorted({table[n] for table in tables}))
+            for m in members:
+                orbit_of[m] = len(orbits)
+            orbits.append(members)
+    return tuple(orbit_of), tuple(orbits)
 
 
 def act_on_tensor(g, t):
@@ -185,49 +223,69 @@ def orbit_and_stabilizer(t, elements=None):
 
     Each distinct coefficient c of t is coded once as a small int k,
     and -c as -k (0 is an absent entry), so that an entry coded k moves
-    to one coded sign * k, and an image is a tuple of 729 codes by
-    position, hashed and compared without touching a Polynomial.  A
-    Tensor is built only for the images the orbit keeps, with its
-    entries in the order act_on_tensor gives.
+    to one coded sign * k.  The sign of g at a target position is the
+    sign of the twisted triple signs o perm at the source position, so
+    each image is one C-level gather from one of at most 8 twisted
+    copies of the coded tensor, through the table of g's inverse.  It is
+    read only at the positions it can reach, the position orbits that
+    meet the support, and hashed and compared as a tuple of codes
+    without touching a Polynomial.  A Tensor is built only for the
+    images the orbit keeps, with its entries in the order act_on_tensor
+    gives.
     """
     if elements is None:
         elements = enumerate_group("G")
     indices, position = _positions()
     coeff = {}     # signed code -> coefficient
     code_of = {}   # coefficient -> signed code
-    coded = []
+    code_by_id = {}  # id of an entry's coefficient -> its code
+    own = [0] * 729  # the code at each position
+    sources = []     # the position of each entry, in entry order
     for alpha, c in t.entries.items():
-        k = code_of.get(c)
+        # cells are shared objects, so most entries are found by id and
+        # only each distinct object is hashed; equal objects share a code
+        k = code_by_id.get(id(c))
         if k is None:
-            k = len(coeff) // 2 + 1
-            code_of[c], code_of[-c] = k, -k
-            coeff[k], coeff[-k] = c, -c
-        coded.append((position[alpha], k))
-    own = [0] * 729
-    for n, k in coded:
+            k = code_by_id[id(c)] = code_of.setdefault(c, len(coeff) // 2 + 1)
+            if k not in coeff:
+                code_of[-c] = -k
+                coeff[k], coeff[-k] = c, -c
+        n = position[alpha]
         own[n] = k
-    own = tuple(own)
+        sources.append(n)
+    # the positions an image can reach: a position orbit has at least 3
+    # members, so read gives a tuple.  A tensor that reaches all 729
+    # positions, or none, is read whole by tuple(), which returns a table
+    # itself, so that its gathers share the cached tables
+    orbit_of, orbits = _position_orbits()
+    reach = tuple(chain.from_iterable(
+        orbits[i] for i in sorted({orbit_of[n] for n in sources})))
+    read = itemgetter(*reach) if 0 < len(reach) < 729 else tuple
+    own_image = read(own)
 
+    gathers = {}   # (perm, bperm) -> its gather of an image at reach
+    twisted = {}   # sign triple -> coded tensor times its sign vector
     seen = set()
     orbit = []
     order = 0
-    for g in elements:
-        moves = _position_table(g.perm, g.bperm)
-        sign = _sign_vector(g.signs)
-        image = [0] * 729
-        for p, k in coded:
-            n = moves[p]
-            image[n] = sign[n] * k
-        image = tuple(image)
-        if image == own:
+    for perm, signs, bperm in elements:
+        gather = gathers.get((perm, bperm))
+        if gather is None:
+            gather = gathers[perm, bperm] = itemgetter(
+                *read(_inverse_table(perm, bperm)))
+        twist = signs[perm[0] - 1], signs[perm[1] - 1], signs[perm[2] - 1]
+        source = twisted.get(twist)
+        if source is None:
+            source = twisted[twist] = tuple(map(mul, own, _sign_vector(twist)))
+        image = gather(source)
+        if image == own_image:
             order += 1
-        if image not in seen:
-            seen.add(image)
-            entries = {}
-            for p, _ in coded:
-                n = moves[p]
-                entries[indices[n]] = coeff[image[n]]
-            orbit.append(Tensor(entries))
+        size = len(seen)
+        seen.add(image)  # one hash of the image, where `in` would add one
+        if len(seen) > size:
+            moves = _position_table(perm, bperm)
+            orbit.append(Tensor({indices[moves[n]]: coeff[source[n]]
+                                 for n in sources}))
     return orbit, order
 
 
@@ -236,6 +294,6 @@ def compose(g, h):
     # monomial parts: (c_g pi_g)(c_h pi_h) has permutation pi_g pi_h and
     # sign at row m equal to sign_g[m] * sign_h[pi_g^-1 m]
     perm = perm_mul(g.perm, h.perm)
-    inv_g = tuple(g.perm.index(k + 1) + 1 for k in range(3))
+    inv_g = perm_inverse(g.perm)
     signs = tuple(g.signs[m] * h.signs[inv_g[m] - 1] for m in range(3))
     return GroupElement(perm, signs, perm_mul(g.bperm, h.bperm))

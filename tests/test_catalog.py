@@ -6,8 +6,8 @@ from importlib import resources
 import pytest
 
 from mm3sym import catalog, group
-from mm3sym.poly import ParamId, parse_polynomial
-from mm3sym.tensors import pi12
+from mm3sym.poly import ParamId, Polynomial, parse_polynomial
+from mm3sym.tensors import Tensor, pi12
 from mm3sym.catalog import (
     all_families, get_family, matmul_tensor,
     verify_catalog, CatalogError, OrbitFamily,
@@ -115,6 +115,38 @@ def test_products_of_cells_are_shared():
     t = get_family(9).tensor()
     assert len(t) == 729
     assert len({id(p) for p in t.entries.values()}) <= 4
+
+
+def test_renamed_and_valued_tensors_share_products(monkeypatch):
+    # tensor(slot=...) and tensor(params) rebuild each distinct cell
+    # object once, so they multiply no more often than the fresh tensors
+    fams = list(all_families().values())
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counted(p, q):
+        calls[0] += 1
+        return mul(p, q)
+
+    def count(build):
+        calls[0] = 0
+        tensors = [build(fam) for fam in fams]
+        return calls[0], tensors
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    fresh_calls, fresh = count(lambda fam: fam.tensor())
+    slot_calls, renamed = count(lambda fam: fam.tensor(slot=2))
+    values = lambda fam: [k + 2 for k in range(len(fam.params))]
+    param_calls, valued = count(lambda fam: fam.tensor(values(fam)))
+    monkeypatch.undo()
+    assert slot_calls <= fresh_calls and param_calls <= fresh_calls
+    for fam, w, u, v in zip(fams, fresh, renamed, valued):
+        rename = lambda x: ParamId(2, x.letter)
+        assert u == Tensor({a: p.map_vars(rename)
+                            for a, p in w.entries.items()})
+        assignment = dict(zip(fam.param_ids(), values(fam)))
+        assert v == Tensor({a: p.substitute(assignment)
+                            for a, p in w.entries.items()})
 
 
 def test_family_tensors_digest():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mm3sym.cli import _build_parser, run
-from mm3sym import brent, prover
+from mm3sym import brent, cli, prover
 from mm3sym.catalog import matmul_tensor
 from mm3sym.tensors import Tensor
 
@@ -132,6 +132,26 @@ def test_verify_json_with_survivors(monkeypatch):
     assert code == 1
     assert text == _stdlib_report(report)
     assert '"certificates": []' in text
+
+
+def test_verify_json_tails_and_blocks(monkeypatch):
+    # tails with no identities, and with escapes, across block boundaries
+    certificates = [
+        prover.EliminationCertificate((5,) * k, rule, identities)
+        for k in range(1, 8)
+        for rule, identities in (("r\u00e9gle \"x\"", ()),
+                                 (prover.REDUCIBLE, ("a", "b\\c")))]
+    report = prover.TheoremReport(
+        max_length=7, certificates=certificates, survivors=[],
+        facts={"a": "x", "b\\c": "y"},
+        rule_counts={rule: 0 for rule in prover.RULES})
+    monkeypatch.setattr(prover, "verify_theorem", lambda max_length: report)
+    for block in (1, 3, 14, 1024):
+        monkeypatch.setattr(cli, "_REPORT_BLOCK", block)
+        code, text = capture(["verify", "--max-length", "7",
+                              "--report", "json"])
+        assert code == 0
+        assert text == _stdlib_report(report)
 
 
 def test_multisets():

@@ -110,6 +110,15 @@ def _action_route(t, elements):
     return orbit, fixed
 
 
+def _assert_matches_action_route(t, elements):
+    # equal orbits and stabilizers, with the entries in the same order
+    got = orbit_and_stabilizer(t, elements)
+    expected = _action_route(t, elements)
+    assert got == expected
+    assert [list(u.entries) for u in got[0]] == \
+        [list(u.entries) for u in expected[0]]
+
+
 def test_coded_orbit_matches_action_route():
     cases = [(fam.tensor(), which)
              for fam in all_families().values() for which in ("G", "G1")]
@@ -119,9 +128,56 @@ def test_coded_orbit_matches_action_route():
                         (23, [1, 2, 3, 4, 5]), (5, [0, 1]), (9, [1, 0])):
         cases.append((get_family(fid).tensor(params), "G"))
     for t, which in cases:
-        elements = enumerate_group(which)
-        orbit, fixed = _action_route(t, elements)
-        assert orbit_and_stabilizer(t, elements) == (orbit, fixed)
+        _assert_matches_action_route(t, enumerate_group(which))
+
+
+def test_orbit_codes_equal_coefficients_that_are_other_objects():
+    """Coefficients are coded by object first, then by value: equal
+    coefficients that are different objects, and c beside -c as objects
+    of their own, must still code alike."""
+    rng = random.Random(71)
+    cases = [Tensor({decode_index(rng.randrange(729)):
+                     Polynomial.coerce(rng.choice((1, -1, 2, -2)))
+                     for _ in range(size)}) for size in (1, 3, 12, 40)]
+    for fid in (9, 23, 41):
+        w = get_family(fid).tensor()
+        entries = {}
+        for n, (alpha, c) in enumerate(w.entries.items()):
+            # a copy, a double negation and the entry itself, in turn
+            entries[alpha] = (Polynomial(dict(c.terms)), -(-c), c)[n % 3]
+        cases.append(Tensor(entries))
+        # the same support with c and -c as separate objects
+        cases.append(Tensor({alpha: c if n % 2 else -c for n, (alpha, c)
+                             in enumerate(w.entries.items())}))
+    for t in cases:
+        for which in ("G", "G1"):
+            _assert_matches_action_route(t, enumerate_group(which))
+    assert orbit_and_stabilizer(Tensor()) == ([Tensor()], 144)
+
+
+def test_source_twist_gives_the_target_sign():
+    """The sign of g at target position moves[q] is the sign of the
+    triple signs o perm at the source position q."""
+    for g in enumerate_group("G1"):
+        moves = group._position_table(g.perm, g.bperm)
+        target = group._sign_vector(g.signs)
+        twist = tuple(g.signs[k - 1] for k in g.perm)
+        source = group._sign_vector(twist)
+        assert all(source[q] == target[moves[q]] for q in range(729))
+        inverse = group._inverse_table(g.perm, g.bperm)
+        assert all(inverse[moves[q]] == q for q in range(729))
+
+
+def test_position_orbits_partition_and_are_closed():
+    orbit_of, orbits = group._position_orbits()
+    assert sorted(n for members in orbits for n in members) == list(range(729))
+    assert all(orbit_of[n] == i for i, members in enumerate(orbits)
+               for n in members)
+    for perm in S3_ELEMENTS:
+        for bperm in S3_ELEMENTS:
+            moves = group._position_table(perm, bperm)
+            for members in orbits:
+                assert {moves[n] for n in members} == set(members)
 
 
 def test_tables_factor_the_action():
