@@ -10,6 +10,7 @@ gamma coordinate.
 """
 
 import json
+from itertools import product
 from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, ONE
@@ -18,6 +19,7 @@ from .poly import (
 )
 from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
+from .tensors import PAIRS
 
 __all__ = [
     "BrentSystem", "BrentError", "generic_system", "invariant_system",
@@ -63,32 +65,20 @@ def generic_system(rank):
     if rank < 1:
         raise BrentError("rank must be >= 1")
     # the 27*rank coordinates in export order: term by term, and within
-    # a term factor by factor, row by row
-    variables = tuple(BrentVar(f, j, i, k) for j in range(1, rank + 1)
-                      for f in range(3) for i in (1, 2, 3) for k in (1, 2, 3))
+    # a term factor by factor, cell by cell
+    variables = tuple(BrentVar(f, t, i, k) for t in range(1, rank + 1)
+                      for f in range(3) for i, k in PAIRS)
     # one (variable, 1) factor per coordinate, shared by every monomial
-    # that uses it; column 9*f + 3*(i-1) + (k-1) lists the terms' entry
-    # (i, k) of factor f
+    # that uses it; column 9*f + c lists the terms' cell c of factor f
     cols = [[(v, 1) for v in variables[c::27]] for c in range(27)]
     target = matmul_tensor()
-    equations = []
-    for i1 in (1, 2, 3):
-        for j1 in (1, 2, 3):
-            xs = cols[3 * i1 + j1 - 4]
-            for i2 in (1, 2, 3):
-                for j2 in (1, 2, 3):
-                    ys = cols[3 * i2 + j2 + 5]
-                    for i3 in (1, 2, 3):
-                        for j3 in (1, 2, 3):
-                            zs = cols[3 * i3 + j3 + 14]
-                            alpha = ((i1, j1), (i2, j2), (i3, j3))
-                            # x < y < z in variable order, so each
-                            # monomial is already sorted
-                            lhs = Polynomial(
-                                {m: ONE for m in zip(xs, ys, zs)})
-                            rhs = target.coeff(alpha).constant_value()
-                            equations.append(Equation(alpha, lhs, rhs))
-    return BrentSystem("generic", variables, tuple(equations), rank=rank)
+    blocks = [zip(PAIRS, cols[9 * f:9 * f + 9]) for f in range(3)]
+    # x < y < z in variable order, so each monomial is already sorted
+    equations = tuple(
+        Equation((a, b, c), Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)),
+                 target.coeff((a, b, c)).constant_value())
+        for (a, xs), (b, ys), (c, zs) in product(*blocks))
+    return BrentSystem("generic", variables, equations, rank=rank)
 
 
 def invariant_system(multiset):
@@ -138,19 +128,11 @@ def check_solution(system, assignment):
 def trivial_solution():
     """The rank-27 decomposition reading off the definition of matrix
     multiplication: term (i,j,k) is e(ij) x e(jk) x e(ki)."""
-    assignment = {}
-    term = 0
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                term += 1
-                pairs = ((i, j), (j, k), (k, i))
-                for f in range(3):
-                    for r in (1, 2, 3):
-                        for c in (1, 2, 3):
-                            val = 1 if (r, c) == pairs[f] else 0
-                            assignment[BrentVar(f, term, r, c)] = val
-    return assignment
+    return {BrentVar(f, term, r, c): int((r, c) == pair)
+            for term, (i, j, k) in enumerate(product((1, 2, 3), repeat=3),
+                                             start=1)
+            for f, pair in enumerate(((i, j), (j, k), (k, i)))
+            for r, c in PAIRS}
 
 
 # -- serialization ---------------------------------------------------

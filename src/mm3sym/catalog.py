@@ -11,6 +11,7 @@ source of the families: edit the catalog there.
 import json
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 from typing import NamedTuple
 
 from . import group
@@ -48,10 +49,10 @@ class OrbitFamily(NamedTuple):
     def param_ids(self, slot=0):
         return [ParamId(slot, letter) for letter in self.params]
 
-    def tensor(self, params=None, slot=0):
-        """Expand into a Tensor.  With params=None the family keeps
-        fresh symbolic parameters in the given orbit slot; otherwise
-        params is a sequence of scalar values, one per letter."""
+    def tensor(self, params=None):
+        """Expand into a Tensor.  With params=None the family keeps its
+        fresh symbolic parameters; otherwise params is a sequence of
+        scalar values, one per letter."""
         factors = self.factors
         scale = self.scale
         if params is not None:
@@ -64,13 +65,6 @@ class OrbitFamily(NamedTuple):
                 ParamId(0, letter): Cyclotomic.coerce(v)
                 for letter, v in zip(self.params, params)
             }
-            rebuild = lambda p: p.substitute(assignment)
-        elif slot != 0:
-            rename = lambda v: ParamId(slot, v.letter)
-            rebuild = lambda p: p.map_vars(rename)
-        else:
-            rebuild = None
-        if rebuild is not None:
             # each distinct cell object once, so that equal cells stay one
             # object and tensor_from_factors multiplies them once; keying
             # by id is safe since self holds every cell
@@ -79,7 +73,7 @@ class OrbitFamily(NamedTuple):
             def cell(p):
                 q = done.get(id(p))
                 if q is None:
-                    q = done[id(p)] = rebuild(p)
+                    q = done[id(p)] = p.substitute(assignment)
                 return q
 
             factors = [tuple(tuple(map(cell, row)) for row in m)
@@ -127,13 +121,9 @@ def get_family(fid):
 
 def matmul_tensor():
     """The 3x3 matrix multiplication tensor: 27 entries, all 1."""
-    entries = {}
     one = Polynomial.constant(1)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                entries[((i, j), (j, k), (k, i))] = one
-    return Tensor(entries)
+    return Tensor({((i, j), (j, k), (k, i)): one
+                   for i, j, k in product((1, 2, 3), repeat=3)})
 
 
 def verify_catalog():

@@ -12,7 +12,7 @@ signs, so 36 position tables and 8 sign vectors serve every element.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter, mul
 import re
 from typing import NamedTuple
@@ -115,13 +115,9 @@ def enumerate_group(which="G"):
     """All elements of G (144) or G1 (288), in a fixed order."""
     if which not in ("G", "G1"):
         raise ValueError("which must be 'G' or 'G1'")
-    sign_triples = [
-        (s1, s2, s3)
-        for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)
-    ]
     out = []
     for perm in S3_ELEMENTS:
-        for signs in sign_triples:
+        for signs in product((1, -1), repeat=3):
             g0 = GroupElement(perm, signs)
             if which == "G" and g0.det() != 1:
                 continue

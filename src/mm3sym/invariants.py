@@ -59,37 +59,26 @@ class OrbitClass:
 
 @lru_cache(maxsize=None)
 def compute_classes():
-    """Orbits of G on even indices, signs ignored (the action factors
-    through S3 x S3), numbered by the fixed representatives and
-    validated against the expected sizes."""
-    even = [a for a in all_indices() if index_is_even(a)]
-    if len(even) != 183:
-        raise ClassTableError(f"expected 183 even indices, found {len(even)}")
+    """The orbits of G on the even indices, signs ignored (the action
+    factors through S3 x S3): class Q_i is the orbit of the i-th fixed
+    representative.  The classes must have the expected sizes and
+    partition the even indices."""
     elements = group.enumerate_group("G")
-    seen = set()
-    orbits = []
-    for a in even:
-        if a in seen:
-            continue
-        orbit = {group.act_on_index(g, a)[0] for g in elements}
-        seen |= orbit
-        orbits.append(orbit)
-    if len(orbits) != 12:
-        raise ClassTableError(f"expected 12 classes, found {len(orbits)}")
-
     classes = []
-    used = set()
+    covered = set()
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        matches = [k for k, orb in enumerate(orbits) if rep in orb]
-        if len(matches) != 1 or matches[0] in used:
-            raise ClassTableError(f"representative {rep} not in a unique class")
-        used.add(matches[0])
-        orb = orbits[matches[0]]
-        if len(orb) != CLASS_SIZES[cid - 1]:
-            raise ClassTableError(
-                f"class Q{cid} has {len(orb)} indices, expected {CLASS_SIZES[cid - 1]}"
-            )
-        classes.append(OrbitClass(cid, orb, rep))
+        orbit = {group.act_on_index(g, rep)[0] for g in elements}
+        if len(orbit) != CLASS_SIZES[cid - 1]:
+            raise ClassTableError(f"class Q{cid} has {len(orbit)} indices, "
+                                  f"expected {CLASS_SIZES[cid - 1]}")
+        if orbit & covered:
+            raise ClassTableError(f"class Q{cid} meets an earlier class")
+        covered |= orbit
+        classes.append(OrbitClass(cid, orbit, rep))
+    even = {a for a in all_indices() if index_is_even(a)}
+    if covered != even:
+        raise ClassTableError(f"the classes cover {len(covered)} indices, "
+                              f"not the {len(even)} even indices")
     return tuple(classes)
 
 

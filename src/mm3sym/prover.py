@@ -378,7 +378,7 @@ def check_final():
 
 # -- certificate assembly --------------------------------------------
 
-def _certificate_for(multiset, facts):
+def _certificate_for(multiset):
     """First applicable rule, in the proof's order."""
     types = set(multiset)
     hit = sorted(types & (REPLACEABLE_LARGE | REPLACEABLE_EQUAL))
@@ -446,7 +446,7 @@ def verify_theorem(max_length=MAX_LENGTH):
     for multiset in enumerate_multisets(max_length):
         types = frozenset(multiset)
         if types not in by_types:
-            by_types[types] = _certificate_for(multiset, facts)
+            by_types[types] = _certificate_for(multiset)
         first = by_types[types]
         if first is None:
             survivors.append(multiset)

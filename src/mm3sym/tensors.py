@@ -7,29 +7,28 @@ used to expand decomposable tensors.
 """
 
 import json
+from itertools import chain, product
 
 from .poly import Polynomial, add_into, parse_polynomial
 
 __all__ = [
-    "encode_index", "decode_index", "all_indices", "index_is_even",
-    "Tensor", "tensor_sum", "tensor_from_factors", "matrix", "pi12",
+    "PAIRS", "encode_index", "decode_index", "all_indices", "index_is_even",
+    "Tensor", "tensor_sum", "tensor_from_factors", "pi12",
 ]
+
+# The cell order: the 9 positions (i, j) of a 3x3 matrix, row by row.
+# Index n has pairs PAIRS[n % 9], PAIRS[n // 9 % 9], PAIRS[n // 81].
+PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+_CELL = {pair: n for n, pair in enumerate(PAIRS)}
 
 
 def encode_index(alpha):
-    n = 0
-    for k in (2, 1, 0):
-        i, j = alpha[k]
-        n = n * 9 + (i - 1) * 3 + (j - 1)
-    return n
+    a, b, c = alpha
+    return _CELL[a] + 9 * _CELL[b] + 81 * _CELL[c]
 
 
 def decode_index(n):
-    pairs = []
-    for _ in range(3):
-        pairs.append((n % 9 // 3 + 1, n % 3 + 1))
-        n //= 9
-    return tuple(pairs)
+    return PAIRS[n % 9], PAIRS[n // 9 % 9], PAIRS[n // 81]
 
 
 def all_indices():
@@ -146,34 +145,22 @@ def _idx_str(alpha):
 
 
 def tensor_from_factors(x, y, z):
-    """Expand x (x) y (x) z into basis entries.  Each product of cells
-    is made once per multiset of cell objects, so entries whose cells
-    are the same objects in some order share one Polynomial; sharing is
-    safe since no Polynomial is changed after it is built, and keying by
-    id is safe since x, y and z hold every cell for the whole call."""
+    """Expand x (x) y (x) z into basis entries: one entry per triple of
+    nonzero cells, in cell order.  Each product of cells is made once
+    per multiset of cell objects, so entries whose cells are the same
+    objects in some order share one Polynomial; sharing is safe since no
+    Polynomial is changed after it is built, and keying by id is safe
+    since x, y and z hold every cell for the whole call."""
+    supports = [[(pair, p) for pair, p in zip(PAIRS, chain(*m)) if p]
+                for m in (x, y, z)]
     entries = {}
     products = {}
-    for i1 in range(3):
-        for j1 in range(3):
-            px = x[i1][j1]
-            if not px:
-                continue
-            for i2 in range(3):
-                for j2 in range(3):
-                    py = y[i2][j2]
-                    if not py:
-                        continue
-                    for i3 in range(3):
-                        for j3 in range(3):
-                            pz = z[i3][j3]
-                            if not pz:
-                                continue
-                            key = tuple(sorted((id(px), id(py), id(pz))))
-                            p = products.get(key)
-                            if p is None:
-                                p = products[key] = px * py * pz
-                            alpha = ((i1 + 1, j1 + 1), (i2 + 1, j2 + 1), (i3 + 1, j3 + 1))
-                            entries[alpha] = p
+    for (a, px), (b, py), (c, pz) in product(*supports):
+        key = tuple(sorted((id(px), id(py), id(pz))))
+        p = products.get(key)
+        if p is None:
+            p = products[key] = px * py * pz
+        entries[a, b, c] = p
     return Tensor(entries)
 
 
@@ -183,11 +170,3 @@ def pi12(t):
     for (p1, p2, p3), c in t.entries.items():
         entries[(p2, p1, p3)] = c
     return Tensor(entries)
-
-
-# -- factor matrices -------------------------------------------------
-
-def matrix(rows):
-    """3x3 factor matrix from a nested sequence of Polynomial-likes."""
-    return tuple(tuple(Polynomial.coerce(x) for x in row) for row in rows)
-

@@ -8,10 +8,12 @@ import pytest
 from mm3sym import brent, group
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
-from mm3sym.tensors import Tensor, matrix, tensor_from_factors
+from mm3sym.tensors import Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
 from mm3sym.invariants import orbit_sum
 from mm3sym.prover import enumerate_multisets
+
+from factors import matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,12 +147,16 @@ def test_invariant_structure():
 
 
 def test_invariant_system_matches_slot_tensors():
-    # the gamma-table route against projecting each entry's slot tensor
+    # the gamma-table route against projecting each entry's slot tensor,
+    # the fresh tensor with its entries renamed into the slot
     def direct(multiset):
         total = None
         for slot, fid in enumerate(multiset, start=1):
             fam = get_family(fid)
-            v = orbit_sum(fam.tensor(slot=slot), fam.length)
+            rename = lambda x: ParamId(slot, x.letter)
+            w = Tensor({a: p.map_vars(rename)
+                        for a, p in fam.tensor().entries.items()})
+            v = orbit_sum(w, fam.length)
             total = v if total is None else total + v
         return [total[m] for m in range(1, 13)]
 

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from mm3sym import catalog, group
+from mm3sym.brent import invariant_system
 from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import Tensor, pi12
 from mm3sym.catalog import (
@@ -38,12 +39,11 @@ def test_matmul_tensor():
 
 
 def test_fresh_parameters_per_slot():
-    fam = get_family(9)
-    t1 = fam.tensor(slot=1)
-    t2 = fam.tensor(slot=2)
-    vars1 = {v for _, p in t1.items() for v in p.variables()}
-    vars2 = {v for _, p in t2.items() for v in p.variables()}
+    variables = invariant_system((9, 9)).variables
+    vars1 = {v for v in variables if v.slot == 1}
+    vars2 = {v for v in variables if v.slot == 2}
     assert vars1 == {ParamId(1, "a"), ParamId(1, "b")}
+    assert vars2 == {ParamId(2, "a"), ParamId(2, "b")}
     assert not (vars1 & vars2)
 
 
@@ -118,8 +118,8 @@ def test_products_of_cells_are_shared():
 
 
 def test_renamed_and_valued_tensors_share_products(monkeypatch):
-    # tensor(slot=...) and tensor(params) rebuild each distinct cell
-    # object once, so they multiply no more often than the fresh tensors
+    # tensor(params) rebuilds each distinct cell object once, so it
+    # multiplies no more often than the fresh tensors
     fams = list(all_families().values())
     calls = [0]
     mul = Polynomial.__mul__
@@ -135,15 +135,11 @@ def test_renamed_and_valued_tensors_share_products(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     fresh_calls, fresh = count(lambda fam: fam.tensor())
-    slot_calls, renamed = count(lambda fam: fam.tensor(slot=2))
     values = lambda fam: [k + 2 for k in range(len(fam.params))]
     param_calls, valued = count(lambda fam: fam.tensor(values(fam)))
     monkeypatch.undo()
-    assert slot_calls <= fresh_calls and param_calls <= fresh_calls
-    for fam, w, u, v in zip(fams, fresh, renamed, valued):
-        rename = lambda x: ParamId(2, x.letter)
-        assert u == Tensor({a: p.map_vars(rename)
-                            for a, p in w.entries.items()})
+    assert param_calls <= fresh_calls
+    for fam, w, v in zip(fams, fresh, valued):
         assignment = dict(zip(fam.param_ids(), values(fam)))
         assert v == Tensor({a: p.substitute(assignment)
                             for a, p in w.entries.items()})

@@ -9,8 +9,10 @@ from mm3sym.group import (
     S3_ELEMENTS,
 )
 from mm3sym.poly import Polynomial
-from mm3sym.tensors import Tensor, decode_index, matrix, tensor_from_factors
+from mm3sym.tensors import Tensor, decode_index, tensor_from_factors
 from mm3sym.catalog import all_families, get_family, matmul_tensor
+
+from factors import matrix
 
 
 def rand_tensor(rng, size=5):

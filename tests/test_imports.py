@@ -1,13 +1,15 @@
 """Every name a module of the package imports, and every private name
 it defines at module level, is used in it; every name in a module's
-__all__ is read somewhere in the package, or kept for a stated reason.
+__all__ is read somewhere in the package, or kept for a stated reason;
+every parameter of a function is read in its body.
 
 A stdlib ast scan: an imported name counts as used when the module
 reads it anywhere or lists it in __all__; a private module-level name
 (a leading underscore, not a dunder) counts as used when the module
 reads it anywhere; an exported name counts as used when some module
 reads it, as a name or an attribute, outside the top-level statement
-that defines it.
+that defines it; a parameter counts as read when the body of its
+function or lambda reads it anywhere, nested functions included.
 """
 
 import ast
@@ -96,6 +98,26 @@ def unused_exports(sources):
     return sorted(exported - read)
 
 
+def unread_parameters(source):
+    """(line, "function.parameter") for each parameter that its
+    function's body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, f"{name}.{a.arg}")
+                  for a in params if a.arg not in read]
+    return sorted(found)
+
+
 # Exported names that no module of the package reads, each with the
 # reason it stays.
 UNREAD_EXPORTS = {
@@ -105,7 +127,6 @@ UNREAD_EXPORTS = {
     "reynolds": "reference route: tests check project against averaging",
     "trivial_solution": "the rank-27 decomposition ROADMAP item 3 starts from",
     "identity": "the neutral element of G; tests compare GroupElement() to it",
-    "matrix": "builds the factor matrices of the tests' matrix-level route",
 }
 
 
@@ -152,6 +173,23 @@ def test_scan_finds_unused_exports():
 def test_package_exports_are_read():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_exports(sources) == sorted(UNREAD_EXPORTS)
+
+
+def test_scan_finds_unread_parameters():
+    source = ("def f(a, b, *c, d=0, **e):\n    return a + d\n"
+              "def g(x):\n    def h(y):\n        return x\n    return h\n"
+              "k = lambda u, v: u\n")
+    assert unread_parameters(source) == [
+        (1, "f.b"), (1, "f.c"), (1, "f.e"), (4, "h.y"), (7, "<lambda>.v")]
+
+
+def test_package_parameters_are_read():
+    # cli dispatch calls every handler _cmd_<name>(args, out)
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in unread_parameters(path.read_text())
+             if not (path.name == "cli.py" and name.startswith("_cmd_"))]
+    assert found == []
 
 
 def test_cli_import_skips_heavy_stdlib_modules():

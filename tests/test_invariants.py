@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from mm3sym import group
+from mm3sym import group, invariants
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import Polynomial, parse_polynomial
 from mm3sym.tensors import Tensor, decode_index, pi12, tensor_sum
 from mm3sym.invariants import (
-    compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES,
+    compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES, ClassTableError,
     GammaVector, r_sum, project, orbit_sum,
     gamma_to_tensor, reynolds,
 )
@@ -47,6 +47,27 @@ def test_classes_are_group_stable():
                 assert sign == 1
                 images.add(beta)
             assert images == cls.members
+
+
+@pytest.mark.parametrize("name, table, message", [
+    ("CLASS_SIZES", CLASS_SIZES[:3] + (35,) + CLASS_SIZES[4:],
+     "class Q4 has 36 indices, expected 35"),
+    # Q12 gets the representative of Q9, whose class has the same size
+    ("CLASS_REPRESENTATIVES",
+     CLASS_REPRESENTATIVES[:11] + CLASS_REPRESENTATIVES[8:9],
+     "class Q12 meets an earlier class"),
+    ("CLASS_REPRESENTATIVES", CLASS_REPRESENTATIVES[:11],
+     "the classes cover 177 indices, not the 183 even indices"),
+], ids=["wrong_size", "duplicate_representative", "dropped_representative"])
+def test_class_table_errors(monkeypatch, name, table, message):
+    compute_classes.cache_clear()
+    monkeypatch.setattr(invariants, name, table)
+    try:
+        with pytest.raises(ClassTableError, match=message):
+            compute_classes()
+    finally:
+        monkeypatch.undo()
+        compute_classes.cache_clear()
 
 
 def test_gamma_vector_basics():

@@ -194,4 +194,4 @@ def test_certification_per_type_set_matches_direct_route():
     multisets = prover.enumerate_multisets(23)
     assert len(got) == len(multisets)
     for m in multisets:
-        assert got[m] == prover._certificate_for(m, report.facts)
+        assert got[m] == prover._certificate_for(m)

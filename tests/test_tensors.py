@@ -7,8 +7,10 @@ from mm3sym.cyclotomic import Cyclotomic, IMAG, ZETA
 from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import (
     encode_index, decode_index, all_indices, index_is_even,
-    Tensor, tensor_from_factors, matrix, pi12,
+    Tensor, tensor_from_factors, pi12,
 )
+
+from factors import matrix
 
 
 def rand_tensor(rng, size=6):
@@ -27,6 +29,8 @@ def test_index_codec():
         seen.add(alpha)
     assert len(seen) == 729
     assert all_indices()[0] == ((1, 1), (1, 1), (1, 1))
+    # pair k of index n is digit k of n in base 9, cells row by row
+    assert decode_index(1 + 9 * 5 + 81 * 8) == ((1, 2), (2, 3), (3, 3))
 
 
 def test_even_indices():
@@ -130,9 +134,6 @@ def test_family_tensors_match_reference():
     for rec in recs:
         fam = get_family(rec["id"])
         assert fam.tensor() == _reference_family_tensor(rec), rec["id"]
-        slot2 = lambda s: parse_polynomial(s).map_vars(
-            lambda v: ParamId(2, v.letter))
-        assert fam.tensor(slot=2) == _reference_family_tensor(rec, slot2)
     for fid, values in ((17, [ZETA + 2]), (38, [2, IMAG - 1, 3, ZETA, -1])):
         rec = recs[fid - 1]
         assert len(values) == len(rec["params"])
