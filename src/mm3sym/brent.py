@@ -13,7 +13,7 @@ import json
 from itertools import product
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ONE
+from .cyclotomic import Cyclotomic, ZERO, ONE, dot
 from .poly import (
     Polynomial, BrentVar, ParamId, var_from_str, add_into, _KEYS, _NAMES,
 )
@@ -37,9 +37,6 @@ class Equation(NamedTuple):
     label: object
     lhs: Polynomial
     rhs: Cyclotomic
-
-    def holds(self, assignment):
-        return self.lhs.substitute(assignment) == Polynomial.constant(self.rhs)
 
     def __repr__(self):
         return f"{self.lhs} = {self.rhs}"
@@ -106,23 +103,65 @@ def invariant_system(multiset):
 
 
 def check_solution(system, assignment):
-    """Substitute a total assignment and test every equation exactly.
+    """Test every equation of the system exactly at a total assignment.
 
     Returns (ok, failing labels).  The assignment maps variable names
     (or variable objects) to scalars; every system variable must be
-    assigned.
+    assigned.  A term c*m is (c * head) * last^e, where last^e is the
+    last factor of m and the head the ones before it; each head is
+    valued once for the whole system, and each equation is one dot()
+    of the terms' heads and lasts.
     """
     values = {}
     for k, v in assignment.items():
         var = var_from_str(k) if isinstance(k, str) else k
-        values[var] = Cyclotomic.coerce(v)
+        v = Cyclotomic.coerce(v)
+        values[var] = v if v else ZERO
     missing = [v for v in system.variables if v not in values]
     if missing:
         raise BrentError(
             f"assignment misses {len(missing)} variables, first {missing[0]}"
         )
-    failing = [eq.label for eq in system.equations if not eq.holds(values)]
+    # Q(zeta_12) is a field, so a product of nonzero values is never 0:
+    # a head or term is 0 exactly when one of its factors is the ZERO
+    # object
+    heads = {}
+    failing = []
+    for eq in system.equations:
+        xs, ys = [], []
+        for m, c in eq.lhs.terms.items():
+            if not m:
+                xs.append(c)
+                ys.append(ONE)
+                continue
+            v, e = m[-1]
+            last = values[v]
+            if last is ZERO:
+                continue
+            head = m[:-1]
+            h = heads.get(head)
+            if h is None:
+                h = heads[head] = _head_value(head, values)
+            if h is ZERO:
+                continue
+            xs.append(h if c is ONE else c * h)
+            ys.append(last if e == 1 else last ** e)
+        if dot(xs, ys) != eq.rhs:
+            failing.append(eq.label)
     return not failing, failing
+
+
+def _head_value(head, values):
+    """The product of the head's factors at the values, or the ZERO
+    object when one of them is."""
+    out = ONE
+    for v, e in head:
+        x = values[v]
+        if x is ZERO:
+            return ZERO
+        x = x if e == 1 else x ** e
+        out = x if out is ONE else out * x
+    return out
 
 
 def trivial_solution():

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .poly import parse_cyclotomic
+from .poly import _Memo, parse_cyclotomic
 from .tensors import Tensor
 from . import group
 from .invariants import compute_classes, gamma_to_tensor, orbit_sum
@@ -172,7 +172,9 @@ def _cmd_check_solution(args, out):
     rec = json.loads(_read(args.assignment))
     if not isinstance(rec, dict):
         raise ValueError("assignment JSON must be an object")
-    assignment = {k: parse_cyclotomic(str(v)) for k, v in rec.items()}
+    # solutions repeat a few values, so each distinct text is parsed once
+    values = _Memo(parse_cyclotomic)
+    assignment = {k: values[str(v)] for k, v in rec.items()}
     ok, failing = brent.check_solution(system, assignment)
     if ok:
         out.write("SOLUTION OK\n")

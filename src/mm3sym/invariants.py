@@ -63,11 +63,12 @@ def compute_classes():
     factors through S3 x S3): class Q_i is the orbit of the i-th fixed
     representative.  The classes must have the expected sizes and
     partition the even indices."""
-    elements = group.enumerate_group("G")
+    # one element per image (perm, bperm) in S3 x S3: all 36 occur
+    images = {(g.perm, g.bperm): g for g in group.enumerate_group("G")}
     classes = []
     covered = set()
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        orbit = {group.act_on_index(g, rep)[0] for g in elements}
+        orbit = {group.act_on_index(g, rep)[0] for g in images.values()}
         if len(orbit) != CLASS_SIZES[cid - 1]:
             raise ClassTableError(f"class Q{cid} has {len(orbit)} indices, "
                                   f"expected {CLASS_SIZES[cid - 1]}")

@@ -69,6 +69,21 @@ _KEYS = _Memo(lambda v: v.key())
 _NAMES = _Memo(str)
 
 
+def _print_key(item):
+    """Print-order key of a (monomial, coefficient) item: the flat list
+    [-deg, key(v1), -e1, key(v2), -e2, ...], which compares as
+    (-deg, [(key(v1), -e1), ...]) does, higher degree first."""
+    keys = _KEYS
+    out = [0]
+    deg = 0
+    for v, e in item[0]:
+        out.append(keys[v])
+        out.append(-e)
+        deg -= e
+    out[0] = deg
+    return out
+
+
 def _item_key(pair):
     """Sort key of a (variable, exponent) pair within a monomial."""
     return _KEYS[pair[0]]
@@ -144,8 +159,8 @@ class Polynomial:
 
     def _substituted(self, assignment):
         # a monomial stops at its first zero factor: its term drops out.
-        # The Brent generator gives every unit coefficient as the ONE
-        # object, which the first value replaces instead of scaling.
+        # A coefficient that is the ONE object, as Polynomial.variable
+        # gives, is replaced by the first value instead of scaled.
         get = assignment.get
         coerce = Cyclotomic.coerce
         for m, c in self.terms.items():
@@ -210,16 +225,9 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------
 
-    def _sorted_terms(self):
-        keys = _KEYS
-
-        def key(item):
-            m = item[0]
-            return (-sum([e for _, e in m]), [(keys[v], -e) for v, e in m])
-        return sorted(self.terms.items(), key=key)
-
     def __str__(self):
-        return _signed_sum(_term_str(m, c) for m, c in self._sorted_terms())
+        return _signed_sum(_term_str(m, c) for m, c in
+                           sorted(self.terms.items(), key=_print_key))
 
     def __repr__(self):
         return f"<Polynomial {self}>"

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mm3sym import brent, group
-from mm3sym.cyclotomic import Cyclotomic
+from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, IMAG
 from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
@@ -111,6 +112,115 @@ def test_perturbed_trivial_solution():
     # term 1 is (i,j,k) = (1,1,1); its other factors vanish away from
     # the (1,1) entries, so exactly one equation breaks
     assert failing == [((1, 1), (1, 1), (1, 1))]
+
+
+def _substituted_check(system, assignment):
+    """The independent route: substitute into each left side and
+    compare the polynomial with the constant right side."""
+    values = {brent.var_from_str(k) if isinstance(k, str) else k: v
+              for k, v in assignment.items()}
+    failing = [eq.label for eq in system.equations
+               if not eq.lhs.substitute(values) == Polynomial.constant(eq.rhs)]
+    return not failing, failing
+
+
+def test_check_solution_matches_substitution():
+    rng = random.Random(109)
+    scalars = {
+        "gaussian": lambda: Cyclotomic((rng.randint(-2, 2), 0, 0,
+                                        rng.randint(-2, 2))),
+        "fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        "zero_one": lambda: int(rng.random() < 0.3),
+    }
+    # the invariant systems have exponents above 1
+    systems = [brent.generic_system(r) for r in (1, 2, 3)] + [
+        brent.invariant_system(m) for m in ((9, 5), (24, 9, 7), (5, 38, 44))]
+    assert any(e > 1 for eq in systems[-1].equations
+               for m in eq.lhs.terms for _, e in m)
+    # no built system has a constant term on the left, so one by hand,
+    # with exponents in heads and lasts and coefficients other than 1
+    lhs = parse_polynomial("a1^2*b1 + 3 - a1*b1^3 + (1 + z)*b1 + 2*a1*b1")
+    variables = (ParamId(1, "a"), ParamId(1, "b"))
+    systems.append(brent.BrentSystem("invariant", variables, tuple(
+        brent.Equation(k, lhs, Cyclotomic.rational(k)) for k in range(6))))
+    for s in systems:
+        for name, scalar in scalars.items():
+            for by_name in (False, True):
+                a = {str(v) if by_name else v: scalar() for v in s.variables}
+                got = brent.check_solution(s, a)
+                assert got == _substituted_check(s, a), (s, name)
+
+
+def _dense_solution():
+    """The trivial rank-27 solution moved by (x, y, z) ->
+    (A x B^-1, B y C^-1, C z A^-1), which fixes the target.  A, B and C
+    are Gaussian-integer matrices of determinant 1 with no zero entry
+    in them or their inverses, so the coordinates are nonzero Gaussian
+    integers."""
+    rng = random.Random(113)
+
+    def gaussian():
+        return Cyclotomic((rng.choice((-2, -1, 1, 2)), 0, 0,
+                           rng.randint(-2, 2)))
+
+    def mat_mul(p, q):
+        return [[sum((p[r][k] * q[k][c] for k in range(3)), ZERO)
+                 for c in range(3)] for r in range(3)]
+
+    def inverse(m):
+        # the adjugate: the determinant is 1, and cyclic indices carry
+        # the cofactor signs
+        return [[m[(c + 1) % 3][(r + 1) % 3] * m[(c + 2) % 3][(r + 2) % 3]
+                 - m[(c + 1) % 3][(r + 2) % 3] * m[(c + 2) % 3][(r + 1) % 3]
+                 for c in range(3)] for r in range(3)]
+
+    def unimodular():
+        # upper times lower unitriangular
+        while True:
+            u, l = ([[ONE if r == c else gaussian() if (r < c) == upper
+                      else ZERO for c in range(3)] for r in range(3)]
+                    for upper in (True, False))
+            m = mat_mul(u, l)
+            if all(x for row in m + inverse(m) for x in row):
+                return m
+
+    a, b, c = unimodular(), unimodular(), unimodular()
+    assert mat_mul(a, inverse(a)) == [[ONE if r == k else ZERO
+                                       for k in range(3)] for r in range(3)]
+    ends = ((a, inverse(b)), (b, inverse(c)), (c, inverse(a)))
+    sol = {}
+    for v, one in brent.trivial_solution().items():
+        if one:
+            # the factor is e(row, col): the outer product of column row
+            # of the left matrix and row col of the right one
+            left, right = ends[v.factor]
+            for r in (1, 2, 3):
+                for k in (1, 2, 3):
+                    sol[BrentVar(v.factor, v.term, r, k)] = \
+                        left[r - 1][v.row - 1] * right[v.col - 1][k - 1]
+    return sol
+
+
+def test_dense_solution_and_products(monkeypatch):
+    s = brent.generic_system(27)
+    sol = _dense_solution()
+    assert len(sol) == 729 and all(sol.values())
+    assert brent.check_solution(s, sol) == (True, [])
+    broken = dict(sol)
+    broken[BrentVar(2, 5, 3, 1)] += IMAG
+    ok, failing = brent.check_solution(s, broken)
+    assert (ok, failing) == _substituted_check(s, broken)
+    # x5 and y5 have no zero coordinate, so every equation at z-cell
+    # (3, 1) breaks
+    assert failing == [eq.label for eq in s.equations if eq.label[2] == (3, 1)]
+    assert len(failing) == 81
+    # one product per head x_t[a]*y_t[b]; the equations are dot products
+    calls = []
+    mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    brent.check_solution(s, sol)
+    assert len(calls) <= 81 * 27
 
 
 def test_missing_variable_error():

@@ -70,6 +70,23 @@ def test_class_table_errors(monkeypatch, name, table, message):
         compute_classes.cache_clear()
 
 
+def test_classes_act_once_per_image(monkeypatch):
+    # signs are ignored, so one element per (perm, bperm) image of G
+    # acts on each representative: 36 * 12 index actions, not 144 * 12
+    want = [cls.members for cls in compute_classes()]
+    calls = []
+    act = group.act_on_index
+    monkeypatch.setattr(group, "act_on_index",
+                        lambda g, alpha: calls.append(1) or act(g, alpha))
+    compute_classes.cache_clear()
+    try:
+        assert [cls.members for cls in compute_classes()] == want
+        assert len(calls) == 432
+    finally:
+        monkeypatch.undo()
+        compute_classes.cache_clear()
+
+
 def test_gamma_vector_basics():
     v = GammaVector([1] + [0] * 11)
     w = GammaVector([0, 2] + [0] * 10)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mm3sym.cyclotomic import Cyclotomic, ONE, ZETA, ZETA_BAR, IMAG, ROOT12
+from mm3sym.cyclotomic import _signed_sum
 from mm3sym.poly import (
     Polynomial, ParamId, BrentVar, parse_polynomial, parse_cyclotomic,
-    var_from_str, PolyParseError,
+    var_from_str, PolyParseError, _term_str,
 )
 
 A = ParamId(0, "a")
@@ -282,6 +283,29 @@ def test_printing_deterministic():
     assert str(p) == "a^2 + z*a*b + a + b"
     assert str(parse_polynomial("(1+z)*a")) == "(1 + z)*a"
     assert str(Polynomial()) == "0"
+
+
+def test_print_order_matches_nested_key():
+    # the flat print key against an independent copy of the nested key
+    # (-degree, [(variable key, -exponent), ...]) it replaced
+    def nested(item):
+        m = item[0]
+        return (-sum(e for _, e in m), [(v.key(), -e) for v, e in m])
+
+    rng = random.Random(47)
+    pool = [A, B, *_POOL]
+    for _ in range(400):
+        variables = rng.sample(pool, 3)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            chosen = sorted(rng.sample(variables, rng.randint(0, 3)),
+                            key=lambda v: v.key())
+            m = tuple((v, rng.randint(1, 3)) for v in chosen)
+            terms[m] = rand_cyc(rng) or ONE
+        p = Polynomial(terms)
+        want = _signed_sum(_term_str(m, c)
+                           for m, c in sorted(terms.items(), key=nested))
+        assert str(p) == want
 
 
 def test_degree_and_variables():
