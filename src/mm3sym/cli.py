@@ -125,11 +125,12 @@ def _cmd_verify(args, out):
 
 def _cmd_orbit_sum(args, out):
     fam = get_family(args.type)
-    params = None
-    if args.params is not None:
-        params = _parse_scalars(args.params)
-    w = fam.tensor(params)
-    v = orbit_sum(w, fam.length)
+    if args.params is None:
+        v = orbit_sum(fam.tensor(), fam.length)
+    else:
+        # at a degenerate point the orbit is shorter than the family's
+        w = fam.tensor(_parse_scalars(args.params))
+        v = orbit_sum(w, len(group.orbit_and_stabilizer(w)[0]))
     if args.full:
         out.write(gamma_to_tensor(v).dumps() + "\n")
     else:

@@ -6,9 +6,11 @@ B = <rho, sigma> is isomorphic to S3 and permutes the tensor factors,
 transposing the matrices when the permutation is odd.  An element is
 stored as (perm, signs, bperm): the line permutation and the diagonal
 +-1 part of its matrix, and its factor permutation.  It acts on
-standard basis indices by one closed formula: the target index depends
-only on the image (perm, bperm) in S3 x S3 and the sign only on the
-signs, so 36 position tables and 8 sign vectors serve every element.
+standard basis indices cell by cell, a cell being one entry position
+(i, j) of a 3x3 factor: the target index depends only on the image
+(perm, bperm) in S3 x S3 and the sign only on the signs, so 36 position
+tables and 8 sign vectors, built from the cell rule, serve every
+element.
 """
 
 from functools import lru_cache
@@ -17,11 +19,11 @@ from operator import itemgetter, mul
 import re
 from typing import NamedTuple
 
-from .tensors import Tensor, all_indices
+from .tensors import PAIRS, Tensor, all_indices
 
 __all__ = [
-    "GroupElement", "enumerate_group", "act_on_index",
-    "act_on_tensor", "orbit_and_stabilizer", "compose",
+    "GroupElement", "enumerate_group", "act_on_tensor",
+    "orbit_and_stabilizer", "compose",
     "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
 
@@ -126,26 +128,6 @@ def enumerate_group(which="G"):
     return tuple(out)
 
 
-def act_on_index(g, alpha):
-    """Image of the basis index and the sign: g e_alpha = sign * e_beta.
-
-    Pair k of alpha moves to place bperm(k) and is transposed when bperm
-    is odd, perm relabels both components of each pair, and the sign is
-    the product of the signs over the six components of beta.
-    """
-    p, signs, bperm = g
-    odd = perm_sign(bperm) < 0
-    beta = [None, None, None]
-    for (i, j), place in zip(alpha, bperm):
-        if odd:
-            i, j = j, i
-        beta[place - 1] = (p[i - 1], p[j - 1])
-    sign = 1
-    for i, j in beta:
-        sign *= signs[i - 1] * signs[j - 1]
-    return tuple(beta), sign
-
-
 @lru_cache(maxsize=None)
 def _positions():
     """The 729 indices in encoded order and the position of each."""
@@ -156,32 +138,28 @@ def _positions():
 @lru_cache(maxsize=None)
 def _position_table(perm, bperm):
     """The target position of each position under every element with
-    this image in S3 x S3.  Relabelling the entries and moving the pairs
-    commute, so a mixed table is the relabelling table read at the moving
-    table; only the 11 pure tables go through act_on_index.  The entries
-    are the int objects of _positions(), shared by every table."""
-    if (1, 2, 3) in (perm, bperm):
-        indices, position = _positions()
-        g = GroupElement(perm, (1, 1, 1), bperm)
-        return tuple(position[act_on_index(g, alpha)[0]] for alpha in indices)
-    return itemgetter(*_position_table((1, 2, 3), bperm))(
-        _position_table(perm, (1, 2, 3)))
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(perm, bperm):
-    """The source position of each target position under every element
-    with this image: the table of the inverse image, since the images
-    multiply as the elements do."""
-    return _position_table(perm_inverse(perm), perm_inverse(bperm))
+    this image in S3 x S3.  The action is one rule per cell: perm
+    relabels both components, the cell is transposed when bperm is odd,
+    and the cell in place k moves to place bperm(k).  Relabelling and
+    moving commute, so a mixed table is the relabelling table read at
+    the moving table; a pure one is summed from its cell map."""
+    if (1, 2, 3) not in (perm, bperm):
+        return itemgetter(*_position_table((1, 2, 3), bperm))(
+            _position_table(perm, (1, 2, 3)))
+    odd = perm_sign(bperm) < 0
+    to = [PAIRS.index((perm[j - 1], perm[i - 1]) if odd
+                      else (perm[i - 1], perm[j - 1])) for i, j in PAIRS]
+    xs, ys, zs = ([c * 9 ** (place - 1) for c in to] for place in bperm)
+    return tuple(x + y + z for z in zs for y in ys for x in xs)
 
 
 @lru_cache(maxsize=None)
 def _sign_vector(signs):
     """The sign of the action of every element with these signs, by
-    target position."""
-    g = GroupElement((1, 2, 3), signs)
-    return tuple(act_on_index(g, beta)[1] for beta in _positions()[0])
+    target position: the product of its cells' signs, the sign of cell
+    (i, j) being signs[i] * signs[j]."""
+    cell = [signs[i - 1] * signs[j - 1] for i, j in PAIRS]
+    return tuple(x * y * z for z in cell for y in cell for x in cell)
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +170,7 @@ def _position_orbits():
     tables = [_position_table(p, b) for p in S3_ELEMENTS for b in S3_ELEMENTS]
     orbit_of = [None] * 729
     orbits = []
-    for n in _positions()[1].values():
+    for n in range(729):
         if orbit_of[n] is None:
             members = tuple(sorted({table[n] for table in tables}))
             for m in members:
@@ -268,7 +246,8 @@ def orbit_and_stabilizer(t, elements=None):
         gather = gathers.get((perm, bperm))
         if gather is None:
             gather = gathers[perm, bperm] = itemgetter(
-                *read(_inverse_table(perm, bperm)))
+                *read(_position_table(perm_inverse(perm),
+                                      perm_inverse(bperm))))
         twist = signs[perm[0] - 1], signs[perm[1] - 1], signs[perm[2] - 1]
         source = twisted.get(twist)
         if source is None:

@@ -11,7 +11,9 @@ from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, ONE, _signed_sum
 from .poly import Polynomial, add_into, _term_str
-from .tensors import Tensor, all_indices, index_is_even, tensor_sum
+from .tensors import (
+    Tensor, all_indices, decode_index, encode_index, index_is_even, tensor_sum,
+)
 from . import group
 
 __all__ = [
@@ -60,15 +62,14 @@ class OrbitClass:
 @lru_cache(maxsize=None)
 def compute_classes():
     """The orbits of G on the even indices, signs ignored (the action
-    factors through S3 x S3): class Q_i is the orbit of the i-th fixed
-    representative.  The classes must have the expected sizes and
-    partition the even indices."""
-    # one element per image (perm, bperm) in S3 x S3: all 36 occur
-    images = {(g.perm, g.bperm): g for g in group.enumerate_group("G")}
+    factors through S3 x S3): class Q_i is the position orbit of the
+    i-th fixed representative.  The classes must have the expected
+    sizes and partition the even indices."""
+    orbit_of, orbits = group._position_orbits()
     classes = []
     covered = set()
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        orbit = {group.act_on_index(g, rep)[0] for g in images.values()}
+        orbit = set(map(decode_index, orbits[orbit_of[encode_index(rep)]]))
         if len(orbit) != CLASS_SIZES[cid - 1]:
             raise ClassTableError(f"class Q{cid} has {len(orbit)} indices, "
                                   f"expected {CLASS_SIZES[cid - 1]}")

@@ -37,11 +37,9 @@ def all_indices():
 
 
 def index_is_even(alpha):
-    counts = [0, 0, 0]
-    for i, j in alpha:
-        counts[i - 1] += 1
-        counts[j - 1] += 1
-    return all(c % 2 == 0 for c in counts)
+    """Each symbol occurs an even number of times: its bits cancel."""
+    (a, b), (c, d), (e, f) = alpha
+    return not (1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d) ^ (1 << e) ^ (1 << f)
 
 
 class Tensor:
@@ -106,18 +104,26 @@ class Tensor:
 
     @classmethod
     def from_json(cls, obj):
-        """The tensor of a JSON record; ValueError for a wrong shape."""
+        """The tensor of a JSON record; ValueError for a wrong shape, an
+        index that is not three pairs over {1, 2, 3}, or an index given
+        twice."""
         recs = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(recs, list):
             raise ValueError("tensor JSON must be an object with an entries list")
         entries = {}
+        seen = set()
         for rec in recs:
             if not (isinstance(rec, dict) and isinstance(rec.get("coeff"), str)):
                 raise ValueError(f"bad tensor entry {rec!r}")
             try:
-                alpha = tuple((int(i), int(j)) for i, j in rec.get("idx"))
-            except TypeError:
+                # pairs over {1, 2, 3}, each read as the cell it names
+                alpha = tuple(PAIRS[_CELL[i, j]] for i, j in rec.get("idx"))
+                encode_index(alpha)  # and exactly three of them
+            except (TypeError, ValueError, KeyError):
                 raise ValueError(f"bad tensor index in {rec!r}") from None
+            if alpha in seen:
+                raise ValueError(f"repeated tensor index in {rec!r}")
+            seen.add(alpha)
             p = parse_polynomial(rec["coeff"])
             if p:
                 entries[alpha] = p

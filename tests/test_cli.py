@@ -12,7 +12,8 @@ import pytest
 
 from mm3sym.cli import _build_parser, run
 from mm3sym import brent, cli, prover
-from mm3sym.catalog import matmul_tensor
+from mm3sym.catalog import get_family, matmul_tensor
+from mm3sym.invariants import orbit_sum
 from mm3sym.tensors import Tensor
 
 
@@ -60,6 +61,22 @@ def test_orbit_sum_symbolic_and_full():
     assert code == 0
     t = Tensor.loads(text)
     assert len(t) == 3 + 18 + 6
+
+
+def test_orbit_sum_at_a_degenerate_point():
+    # at b = 0 the family 9 tensor is E^(x)3, fixed by every element, so
+    # its orbit has one element and the orbit sum is the tensor itself,
+    # not 4 times its projection
+    code, text = capture(["orbit-sum", "--type", "9", "--params", "1,0"])
+    assert (code, text) == (0, "g1 + g2 + g6\n")
+    code, text = capture(
+        ["orbit-sum", "--type", "9", "--params", "1,0", "--full"])
+    assert code == 0
+    assert Tensor.loads(text) == get_family(9).tensor([1, 0])
+    # at a generic point the orbit has the family's length
+    fam = get_family(9)
+    want = str(orbit_sum(fam.tensor([1, 2]), fam.length)) + "\n"
+    assert capture(["orbit-sum", "--type", "9", "--params", "1,2"]) == (0, want)
 
 
 def test_classes_output():

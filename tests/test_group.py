@@ -5,14 +5,14 @@ import pytest
 from mm3sym import group
 from mm3sym.group import (
     GroupElement, enumerate_group, parse_element, identity, compose,
-    act_on_index, act_on_tensor, orbit_and_stabilizer, perm_sign,
+    act_on_tensor, orbit_and_stabilizer, perm_sign, perm_inverse,
     S3_ELEMENTS,
 )
 from mm3sym.poly import Polynomial
 from mm3sym.tensors import Tensor, decode_index, tensor_from_factors
 from mm3sym.catalog import all_families, get_family, matmul_tensor
 
-from factors import matrix
+from factors import act_on_factors, matrix
 
 
 def rand_tensor(rng, size=5):
@@ -58,14 +58,18 @@ def test_composition_is_action():
     assert act_on_tensor(identity, t) == t
 
 
+def _unit(alpha):
+    return Tensor({alpha: Polynomial.constant(1)})
+
+
 def test_signs_multiply_over_components():
     g = GroupElement((1, 2, 3), (-1, 1, 1))
+    # the 1s appear twice
     alpha = ((1, 1), (2, 2), (3, 3))
-    beta, sign = act_on_index(g, alpha)
-    assert beta == alpha and sign == 1  # the 1s appear twice
+    assert act_on_tensor(g, _unit(alpha)) == _unit(alpha)
+    # a single 1-component
     alpha = ((1, 2), (2, 2), (3, 3))
-    beta, sign = act_on_index(g, alpha)
-    assert beta == alpha and sign == -1  # a single 1-component
+    assert act_on_tensor(g, _unit(alpha)) == -_unit(alpha)
 
 
 def test_minus_identity_matrix_acts_trivially():
@@ -166,7 +170,8 @@ def test_source_twist_gives_the_target_sign():
         twist = tuple(g.signs[k - 1] for k in g.perm)
         source = group._sign_vector(twist)
         assert all(source[q] == target[moves[q]] for q in range(729))
-        inverse = group._inverse_table(g.perm, g.bperm)
+        inverse = group._position_table(perm_inverse(g.perm),
+                                        perm_inverse(g.bperm))
         assert all(inverse[moves[q]] == q for q in range(729))
 
 
@@ -182,18 +187,38 @@ def test_position_orbits_partition_and_are_closed():
                 assert {moves[n] for n in members} == set(members)
 
 
+def _act_on_index(g, alpha):
+    """The reference action on one index: g e_alpha = sign * e_beta.
+
+    Pair k of alpha moves to place bperm(k) and is transposed when bperm
+    is odd, perm relabels both components of each pair, and the sign is
+    the product of the signs over the six components of beta.
+    """
+    p, signs, bperm = g
+    odd = perm_sign(bperm) < 0
+    beta = [None, None, None]
+    for (i, j), place in zip(alpha, bperm):
+        if odd:
+            i, j = j, i
+        beta[place - 1] = (p[i - 1], p[j - 1])
+    sign = 1
+    for i, j in beta:
+        sign *= signs[i - 1] * signs[j - 1]
+    return tuple(beta), sign
+
+
 def test_tables_factor_the_action():
     """The target position of g e_alpha depends only on (perm, bperm)
     and its sign only on signs, read at the target position: one
     position table per image in S3 x S3, one sign vector per sign
-    triple."""
+    triple, each as the reference action on single indices gives."""
     indices, _ = group._positions()
     for g in enumerate_group("G1"):
         moves = group._position_table(g.perm, g.bperm)
         signs = group._sign_vector(g.signs)
         for n, alpha in enumerate(indices):
             m = moves[n]
-            assert (indices[m], signs[m]) == act_on_index(g, alpha)
+            assert (indices[m], signs[m]) == _act_on_index(g, alpha)
     assert group._position_table.cache_info().currsize == 36
     assert group._sign_vector.cache_info().currsize == 8
 
@@ -236,31 +261,7 @@ def test_sign_sum_kills_non_even_indices():
     assert total == Tensor()
 
 
-# -- the action through matrices, apart from act_on_index ------------
-
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
-
-
-def _transpose(a):
-    return [list(row) for row in zip(*a)]
-
-
-def _act_on_factors(g, x, y, z):
-    """g (x (x) y (x) z) as a factor triple: the B word rightmost letter
-    first, rho: x,y,z -> y^T,x^T,z^T and sigma: x,y,z -> z,x,y; then each
-    factor conjugated by M = D P with P e_j = e_p(j), D = diag(signs)."""
-    for letter in reversed(g.bword):
-        if letter == "r":
-            x, y, z = _transpose(y), _transpose(x), _transpose(z)
-        else:
-            x, y, z = z, x, y
-    m = [[g.signs[i] if g.perm[j] == i + 1 else 0 for j in range(3)]
-         for i in range(3)]
-    m_inv = _transpose(m)  # M is orthogonal
-    return [_mat_mul(_mat_mul(m, f), m_inv) for f in (x, y, z)]
-
+# -- the action through matrices, apart from the position tables ----
 
 def test_action_matches_matrix_route():
     rng = random.Random(67)
@@ -273,6 +274,6 @@ def test_action_matches_matrix_route():
         for _ in range(2):
             x, y, z = rand_factor(), rand_factor(), rand_factor()
             t = tensor_from_factors(matrix(x), matrix(y), matrix(z))
-            gx, gy, gz = _act_on_factors(g, x, y, z)
+            gx, gy, gz = act_on_factors(g, x, y, z)
             assert act_on_tensor(g, t) == tensor_from_factors(
                 matrix(gx), matrix(gy), matrix(gz)), str(g)

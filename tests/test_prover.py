@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from mm3sym.cyclotomic import Cyclotomic
-from mm3sym.group import orbit_and_stabilizer
-from mm3sym.invariants import orbit_sum, GammaVector, gamma_to_tensor
+from mm3sym.cyclotomic import Cyclotomic, IMAG
+from mm3sym.group import enumerate_group, orbit_and_stabilizer
+from mm3sym.invariants import (
+    CLASS_REPRESENTATIVES, orbit_sum, GammaVector, gamma_to_tensor,
+)
+from mm3sym.poly import Polynomial
 from mm3sym.tensors import tensor_sum
 from mm3sym.catalog import all_families, get_family
 from mm3sym import prover
 from mm3sym.cli import run
+
+from factors import act_on_factors
 
 # frozen count of nonempty type multisets of total length <= 23
 GOLDEN_MULTISET_COUNT = 14623
@@ -79,6 +84,61 @@ def test_gamma_table_matches_direct_orbit_sums():
     for fid, fam in sorted(all_families().items()):
         orbit = orbit_and_stabilizer(fam.tensor())[0]
         assert gamma_to_tensor(table[fid]) == tensor_sum(orbit), fid
+
+
+# -- the gamma table through matrices, apart from the index action ----
+
+_FACTOR_SLOTS = {"cube": (0, 0, 0), "square": (0, 0, 1), "triple": (0, 1, 2)}
+
+
+def _gamma_by_matrices(fam, assignment):
+    """l*p(w) in gamma coordinates at a parameter point, through matrices
+    alone: every g in G acts on the factor triple of w, and coordinate i
+    is l/144 times the sum over g of g w at the i-th class
+    representative.  This holds at a degenerate point too, where the
+    orbit is shorter than l."""
+    def value(p):
+        return p.substitute(assignment).constant_value()
+
+    x, y, z = ([[value(p) for p in row] for row in fam.factors[k]]
+               for k in _FACTOR_SLOTS[fam.power])
+    sums = [0] * 12
+    for g in enumerate_group("G"):
+        gx, gy, gz = act_on_factors(g, x, y, z)
+        for k, ((a, b), (c, d), (e, f)) in enumerate(CLASS_REPRESENTATIVES):
+            sums[k] += gx[a - 1][b - 1] * gy[c - 1][d - 1] * gz[e - 1][f - 1]
+    scale = Cyclotomic.rational(fam.length, 144)
+    if fam.scale is not None:
+        scale = scale * value(fam.scale)
+    return [scale * s for s in sums]
+
+
+def _row_mismatches(fid, row, rng):
+    """The gamma coordinates at which row, evaluated at a random
+    Gaussian-integer point, differs from the matrix route there."""
+    fam = get_family(fid)
+    assignment = {v: Cyclotomic.coerce(rng.choice((1, -1, 2, -2, 3)))
+                  + rng.randint(-3, 3) * IMAG for v in fam.param_ids()}
+    want = _gamma_by_matrices(fam, assignment)
+    return [i for i in range(1, 13)
+            if row[i].substitute(assignment) != want[i - 1]]
+
+
+def test_gamma_rows_match_matrix_route():
+    rng = random.Random(89)
+    for fid in sorted(all_families()):
+        assert _row_mismatches(fid, prover.gamma_row(fid), rng) == [], fid
+
+
+@pytest.mark.parametrize("fid", [24, 38])
+def test_matrix_route_catches_a_planted_coefficient(fid):
+    # one coefficient of one monomial of the row is doubled
+    row = prover.gamma_row(fid)
+    i = min(row.support())
+    (m, c), *_ = row[i].terms.items()
+    coords = list(row.coords)
+    coords[i - 1] = coords[i - 1] + Polynomial({m: c})
+    assert _row_mismatches(fid, GammaVector(coords), random.Random(97)) == [i]
 
 
 def test_verify_theorem():

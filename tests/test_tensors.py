@@ -2,6 +2,8 @@ import json
 import random
 from importlib import resources
 
+import pytest
+
 from mm3sym.catalog import get_family
 from mm3sym.cyclotomic import Cyclotomic, IMAG, ZETA
 from mm3sym.poly import ParamId, Polynomial, parse_polynomial
@@ -87,6 +89,28 @@ def test_json_roundtrip():
     rec = t.to_json()
     assert rec["entries"][0]["idx"] == [[1, 2], [2, 1], [3, 3]]
     assert Tensor.from_json(rec) == t
+
+
+@pytest.mark.parametrize("idx, message", [
+    ([[1, 1], [1, 1], [1, 4]], "bad tensor index"),
+    ([[0, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1, 1], [1, 1]], "bad tensor index"),
+    ([[1, 1], [1, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1, 1, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1, "x"], [1, 1], [1, 1]], "bad tensor index"),
+    ([["1", "1"], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1.5, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1, 2], [2, 1], [3, 3]], "repeated tensor index"),
+], ids=["out_of_range", "zero", "two_pairs", "four_pairs", "long_pair",
+        "not_a_number", "text", "fraction", "repeated"])
+def test_json_rejects_non_basis_and_repeated_indices(idx, message):
+    # the bad entry follows a good one, so the error must name it; a
+    # repeated index is rejected even when its first coefficient is 0
+    rec = {"entries": [{"idx": [[1, 2], [2, 1], [3, 3]], "coeff": "0"},
+                       {"idx": idx, "coeff": "2"}]}
+    with pytest.raises(ValueError, match=message) as err:
+        Tensor.from_json(rec)
+    assert repr(idx) in str(err.value)
 
 
 def test_items_sorted():
