@@ -19,7 +19,7 @@ from .poly import (
 )
 from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
-from .tensors import PAIRS
+from .tensors import PAIRS, _ints_only
 
 __all__ = [
     "BrentSystem", "BrentError", "generic_system", "invariant_system",
@@ -65,17 +65,25 @@ def generic_system(rank):
     # a term factor by factor, cell by cell
     variables = tuple(BrentVar(f, t, i, k) for t in range(1, rank + 1)
                       for f in range(3) for i, k in PAIRS)
-    # one (variable, 1) factor per coordinate, shared by every monomial
-    # that uses it; column 9*f + c lists the terms' cell c of factor f
-    cols = [[(v, 1) for v in variables[c::27]] for c in range(27)]
     target = matmul_tensor()
-    blocks = [zip(PAIRS, cols[9 * f:9 * f + 9]) for f in range(3)]
-    # x < y < z in variable order, so each monomial is already sorted
+    # one (variable, 1) factor per coordinate, shared by its monomials,
+    # each already sorted as x < y < z in variable order
     equations = tuple(
-        Equation((a, b, c), Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)),
-                 target.coeff((a, b, c)).constant_value())
-        for (a, xs), (b, ys), (c, zs) in product(*blocks))
+        Equation(label, Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)),
+                 target.coeff(label).constant_value())
+        for label, xs, ys, zs in _generic_columns([(v, 1) for v in variables]))
     return BrentSystem("generic", variables, equations, rank=rank)
+
+
+def _generic_columns(coords):
+    """(label, xs, ys, zs) per generic equation, in equation order: the
+    terms' coords at the label's cells of factors x, y and z, where
+    coords stands for the 27*rank coordinates in variable order."""
+    # column 9*f + c lists the terms' cell c of factor f
+    cols = [coords[c::27] for c in range(27)]
+    blocks = [zip(PAIRS, cols[9 * f:9 * f + 9]) for f in range(3)]
+    for (a, xs), (b, ys), (c, zs) in product(*blocks):
+        yield (a, b, c), xs, ys, zs
 
 
 def invariant_system(multiset):
@@ -176,15 +184,20 @@ def trivial_solution():
 
 # -- serialization ---------------------------------------------------
 
-def _ints_only(x):
-    """Whether x is made of ints only: no bool or float that equals one."""
-    return type(x) is int or type(x) is list and all(map(_ints_only, x))
-
-
 def _label_to_json(label):
     if isinstance(label, int):
         return label
     return [list(p) for p in label]
+
+
+def _lhs_texts(system):
+    """Each equation's printed lhs.  A generic one, a sum of x*y*z terms
+    already in print order, is joined from the coordinate names."""
+    if system.mode != "generic":
+        return [str(eq.lhs) for eq in system.equations]
+    names = [str(v) for v in system.variables]
+    return [" + ".join(map("*".join, zip(xs, ys, zs)))
+            for _, xs, ys, zs in _generic_columns(names)]
 
 
 def to_json(system):
@@ -195,12 +208,8 @@ def to_json(system):
         rec["multiset"] = list(system.multiset)
     rec["variables"] = [str(v) for v in system.variables]
     rec["equations"] = [
-        {
-            "label": _label_to_json(eq.label),
-            "lhs": str(eq.lhs),
-            "rhs": str(eq.rhs),
-        }
-        for eq in system.equations
+        {"label": _label_to_json(eq.label), "lhs": lhs, "rhs": str(eq.rhs)}
+        for eq, lhs in zip(system.equations, _lhs_texts(system))
     ]
     return rec
 
@@ -300,7 +309,8 @@ def export(system, fmt):
     if fmt == "json":
         return json.dumps(to_json(system), indent=1) + "\n"
     if fmt == "text":
-        lines = [f"{eq.lhs} = {eq.rhs}" for eq in system.equations]
+        lines = [f"{lhs} = {eq.rhs}"
+                 for eq, lhs in zip(system.equations, _lhs_texts(system))]
         return "\n".join(lines) + "\n"
     if fmt == "m2":
         names = ", ".join(str(v).replace("_", "") for v in system.variables)

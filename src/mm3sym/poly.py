@@ -271,9 +271,7 @@ def _term_str(m, c):
     read from the coefficient's coordinates in {1, z, i, i*z}; one with
     more than one nonzero coordinate is a sum and keeps its own signs,
     in parentheses."""
-    # a Brent system's coefficients are the ONE object, so the identity
-    # test spares each of its terms a Cyclotomic comparison
-    if m and (c is ONE or c == ONE):
+    if m and c == ONE:
         return _mono_str(m), False
     nonzero = [x for x in c.qbasis() if x != 0]
     if len(nonzero) > 1:

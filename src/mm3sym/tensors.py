@@ -22,6 +22,11 @@ PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 _CELL = {pair: n for n, pair in enumerate(PAIRS)}
 
 
+def _ints_only(x):
+    """Whether x is made of ints only: no bool or float that equals one."""
+    return type(x) is int or type(x) is list and all(map(_ints_only, x))
+
+
 def encode_index(alpha):
     a, b, c = alpha
     return _CELL[a] + 9 * _CELL[b] + 81 * _CELL[c]
@@ -105,8 +110,8 @@ class Tensor:
     @classmethod
     def from_json(cls, obj):
         """The tensor of a JSON record; ValueError for a wrong shape, an
-        index that is not three pairs over {1, 2, 3}, or an index given
-        twice."""
+        index that is not three pairs of ints over {1, 2, 3}, or an
+        index given twice."""
         recs = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(recs, list):
             raise ValueError("tensor JSON must be an object with an entries list")
@@ -116,7 +121,10 @@ class Tensor:
             if not (isinstance(rec, dict) and isinstance(rec.get("coeff"), str)):
                 raise ValueError(f"bad tensor entry {rec!r}")
             try:
-                # pairs over {1, 2, 3}, each read as the cell it names
+                # pairs of ints over {1, 2, 3}, each read as the cell it
+                # names (true and 1.0 equal 1, so they would name its cell)
+                if not _ints_only(rec.get("idx")):
+                    raise ValueError
                 alpha = tuple(PAIRS[_CELL[i, j]] for i, j in rec.get("idx"))
                 encode_index(alpha)  # and exactly three of them
             except (TypeError, ValueError, KeyError):

@@ -382,6 +382,19 @@ def test_parse_system_rejects_bad_records():
             brent.parse_system(bad)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 27])
+def test_generic_lhs_texts_match_the_polynomial_printer(rank):
+    # json and text print a generic lhs from the coordinate names; the
+    # Polynomial printer sorts and prints the built terms independently
+    s = brent.generic_system(rank)
+    want = [str(eq.lhs) for eq in s.equations]
+    rec = json.loads(brent.export(s, "json"))
+    assert [eq["lhs"] for eq in rec["equations"]] == want
+    lines = brent.export(s, "text").splitlines()
+    assert lines == [f"{lhs} = {eq.rhs}" for lhs, eq in zip(want, s.equations)]
+    assert len(want[0].split(" + ")) == rank
+
+
 def test_text_export():
     s = brent.invariant_system((7,))
     lines = brent.export(s, "text").splitlines()

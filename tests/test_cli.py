@@ -325,6 +325,40 @@ def test_act(tmp_path):
     assert Tensor.loads(text) == matmul_tensor()  # the target is invariant
 
 
+@pytest.mark.parametrize("idx", ["[[true, 1], [1, 1], [1, 1]]",
+                                 "[[1, 1], [1, 1], [1, 1.0]]"],
+                         ids=["true", "float_one"])
+def test_act_rejects_index_entries_that_are_not_ints(tmp_path, idx):
+    # true and 1.0 equal 1, but a basis index is written in ints
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"entries": [{"idx": %s, "coeff": "1"}]}' % idx)
+    code, text = capture(["act", "--g", "a=(perm=(231),signs=+--);b=id",
+                          "--in", str(bad)])
+    assert (code, text) == (3, "")
+
+
+def test_check_solution_reads_a_record_by_value(tmp_path):
+    # the record check compares parsed values, not the export's bytes:
+    # the rank-27 export dumped without indent and with its keys and
+    # each equation's keys reordered is still that system
+    system = brent.generic_system(27)
+    rec = json.loads(brent.export(system, "json"))
+    rec = {k: rec[k] for k in reversed(list(rec))}
+    rec["equations"] = [{k: eq[k] for k in reversed(list(eq))}
+                        for eq in rec["equations"]]
+    text = json.dumps(rec)
+    assert "\n" not in text and list(json.loads(text))[0] == "equations"
+    assert brent.parse_system(text) == system
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(text)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(
+        {str(k): str(v) for k, v in brent.trivial_solution().items()}))
+    code, out = capture(["check-solution", "--system", str(sys_path),
+                         "--assignment", str(sol_path)])
+    assert (code, out) == (0, "SOLUTION OK\n")
+
+
 def test_error_exit_codes(tmp_path):
     code, _ = capture(["orbit-sum", "--type", "99"])
     assert code == 3

@@ -100,9 +100,11 @@ def test_json_roundtrip():
     ([[1, "x"], [1, 1], [1, 1]], "bad tensor index"),
     ([["1", "1"], [1, 1], [1, 1]], "bad tensor index"),
     ([[1.5, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[True, 1], [1, 1], [1, 1]], "bad tensor index"),
+    ([[1, 1], [1, 1], [1, 1.0]], "bad tensor index"),
     ([[1, 2], [2, 1], [3, 3]], "repeated tensor index"),
 ], ids=["out_of_range", "zero", "two_pairs", "four_pairs", "long_pair",
-        "not_a_number", "text", "fraction", "repeated"])
+        "not_a_number", "text", "fraction", "true", "float_one", "repeated"])
 def test_json_rejects_non_basis_and_repeated_indices(idx, message):
     # the bad entry follows a good one, so the error must name it; a
     # repeated index is rejected even when its first coefficient is 0
