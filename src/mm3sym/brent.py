@@ -10,6 +10,7 @@ gamma coordinate.
 """
 
 import json
+from collections.abc import Sequence
 from itertools import product
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ class Equation(NamedTuple):
 class BrentSystem(NamedTuple):
     mode: str                 # "generic" | "invariant"
     variables: tuple
-    equations: tuple
+    equations: Sequence       # tuple, or _GenericEquations
     rank: int = None          # generic systems
     multiset: tuple = None    # invariant systems
 
@@ -58,32 +59,80 @@ class BrentSystem(NamedTuple):
 
 def generic_system(rank):
     """729 equations stating that rank many rank-one tensors sum to
-    the matrix multiplication tensor."""
+    the matrix multiplication tensor.  The equations are built on first
+    access to them; export, parse_system and check_solution read only
+    the rank and the coordinate columns."""
     if rank < 1:
         raise BrentError("rank must be >= 1")
     # the 27*rank coordinates in export order: term by term, and within
     # a term factor by factor, cell by cell
     variables = tuple(BrentVar(f, t, i, k) for t in range(1, rank + 1)
                       for f in range(3) for i, k in PAIRS)
-    target = matmul_tensor()
+    return BrentSystem("generic", variables, _GenericEquations(variables),
+                       rank=rank)
+
+
+class _GenericEquations(Sequence):
+    """The equations of the generic system over these variables, built
+    by _generic_equations on first access to them and kept.  Its length
+    needs no build, and two of them are equal when their ranks are; next
+    to a tuple it is the tuple of its equations."""
+
+    __slots__ = ("variables", "_built")
+
+    def __init__(self, variables):
+        self.variables = variables
+        self._built = None
+
+    def _equations(self):
+        if self._built is None:
+            self._built = _generic_equations(self.variables)
+        return self._built
+
+    def __len__(self):
+        # one equation per basis index, built or not
+        return 729 if self._built is None else len(self._built)
+
+    def __getitem__(self, i):
+        return self._equations()[i]
+
+    def __iter__(self):
+        return iter(self._equations())
+
+    def __eq__(self, other):
+        if isinstance(other, _GenericEquations):
+            return len(self.variables) == len(other.variables)
+        if isinstance(other, tuple):
+            return self._equations() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._equations())
+
+
+def _generic_equations(variables):
+    """The 729 equations of the generic system over the variables."""
     # one (variable, 1) factor per coordinate, shared by its monomials,
     # each already sorted as x < y < z in variable order
-    equations = tuple(
-        Equation(label, Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)),
-                 target.coeff(label).constant_value())
-        for label, xs, ys, zs in _generic_columns([(v, 1) for v in variables]))
-    return BrentSystem("generic", variables, equations, rank=rank)
+    return tuple(
+        Equation(label, Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)), rhs)
+        for label, xs, ys, zs, rhs in _generic_columns(
+            [(v, 1) for v in variables]))
 
 
 def _generic_columns(coords):
-    """(label, xs, ys, zs) per generic equation, in equation order: the
-    terms' coords at the label's cells of factors x, y and z, where
-    coords stands for the 27*rank coordinates in variable order."""
+    """(label, xs, ys, zs, rhs) per generic equation, in equation order:
+    the terms' coords at the label's cells of factors x, y and z, where
+    coords stands for the 27*rank coordinates in variable order, and
+    the target's coefficient at the label, 1 on its support and 0 off
+    it."""
+    support = matmul_tensor().entries
     # column 9*f + c lists the terms' cell c of factor f
     cols = [coords[c::27] for c in range(27)]
     blocks = [zip(PAIRS, cols[9 * f:9 * f + 9]) for f in range(3)]
     for (a, xs), (b, ys), (c, zs) in product(*blocks):
-        yield (a, b, c), xs, ys, zs
+        label = a, b, c
+        yield label, xs, ys, zs, ONE if label in support else ZERO
 
 
 def invariant_system(multiset):
@@ -115,10 +164,8 @@ def check_solution(system, assignment):
 
     Returns (ok, failing labels).  The assignment maps variable names
     (or variable objects) to scalars; every system variable must be
-    assigned.  A term c*m is (c * head) * last^e, where last^e is the
-    last factor of m and the head the ones before it; each head is
-    valued once for the whole system, and each equation is one dot()
-    of the terms' heads and lasts.
+    assigned.  A generic system built by generic_system is checked from
+    its coordinate columns, any other one term by term.
     """
     values = {}
     for k, v in assignment.items():
@@ -133,9 +180,40 @@ def check_solution(system, assignment):
     # Q(zeta_12) is a field, so a product of nonzero values is never 0:
     # a head or term is 0 exactly when one of its factors is the ZERO
     # object
+    if isinstance(system.equations, _GenericEquations):
+        failing = _failing_columns(system.variables, values)
+    else:
+        failing = _failing_terms(system.equations, values)
+    return not failing, failing
+
+
+def _failing_columns(variables, values):
+    """The failing labels of a generic system.  Per cell pair (a, b),
+    the heads x_t[a]*y_t[b] that are not ZERO are made once, and each
+    equation (a, b, c) is one dot() of them with the z column at c."""
+    failing = []
+    ab = None
+    for label, xs, ys, zs, rhs in _generic_columns(
+            [values[v] for v in variables]):
+        if label[:2] != ab:
+            ab = label[:2]
+            kept = [t for t, (x, y) in enumerate(zip(xs, ys))
+                    if x is not ZERO and y is not ZERO]
+            heads = [xs[t] * ys[t] for t in kept]
+        if dot(heads, [zs[t] for t in kept]) != rhs:
+            failing.append(label)
+    return failing
+
+
+def _failing_terms(equations, values):
+    """The failing labels of any system.  A term c*m is
+    (c * head) * last^e, where last^e is the last factor of m and the
+    head the ones before it; each head is valued once for the whole
+    system, and each equation is one dot() of the terms' heads and
+    lasts."""
     heads = {}
     failing = []
-    for eq in system.equations:
+    for eq in equations:
         xs, ys = [], []
         for m, c in eq.lhs.terms.items():
             if not m:
@@ -156,7 +234,7 @@ def check_solution(system, assignment):
             ys.append(last if e == 1 else last ** e)
         if dot(xs, ys) != eq.rhs:
             failing.append(eq.label)
-    return not failing, failing
+    return failing
 
 
 def _head_value(head, values):
@@ -190,14 +268,15 @@ def _label_to_json(label):
     return [list(p) for p in label]
 
 
-def _lhs_texts(system):
-    """Each equation's printed lhs.  A generic one, a sum of x*y*z terms
+def _rows(system):
+    """(label, printed lhs, rhs) per equation.  A generic system built by
+    generic_system is not built for it: each lhs, a sum of x*y*z terms
     already in print order, is joined from the coordinate names."""
-    if system.mode != "generic":
-        return [str(eq.lhs) for eq in system.equations]
+    if not isinstance(system.equations, _GenericEquations):
+        return [(eq.label, str(eq.lhs), eq.rhs) for eq in system.equations]
     names = [str(v) for v in system.variables]
-    return [" + ".join(map("*".join, zip(xs, ys, zs)))
-            for _, xs, ys, zs in _generic_columns(names)]
+    return [(label, " + ".join(map("*".join, zip(xs, ys, zs))), rhs)
+            for label, xs, ys, zs, rhs in _generic_columns(names)]
 
 
 def to_json(system):
@@ -208,8 +287,8 @@ def to_json(system):
         rec["multiset"] = list(system.multiset)
     rec["variables"] = [str(v) for v in system.variables]
     rec["equations"] = [
-        {"label": _label_to_json(eq.label), "lhs": lhs, "rhs": str(eq.rhs)}
-        for eq, lhs in zip(system.equations, _lhs_texts(system))
+        {"label": _label_to_json(label), "lhs": lhs, "rhs": str(rhs)}
+        for label, lhs, rhs in _rows(system)
     ]
     return rec
 
@@ -309,8 +388,7 @@ def export(system, fmt):
     if fmt == "json":
         return json.dumps(to_json(system), indent=1) + "\n"
     if fmt == "text":
-        lines = [f"{lhs} = {eq.rhs}"
-                 for eq, lhs in zip(system.equations, _lhs_texts(system))]
+        lines = [f"{lhs} = {rhs}" for _, lhs, rhs in _rows(system)]
         return "\n".join(lines) + "\n"
     if fmt == "m2":
         names = ", ".join(str(v).replace("_", "") for v in system.variables)

@@ -162,7 +162,11 @@ def _cmd_brent(args, out):
     else:
         if args.types is None:
             raise UsageError("--mode invariant requires --types")
-        multiset = tuple(int(s) for s in args.types.split(","))
+        try:
+            multiset = tuple(int(s) for s in args.types.split(","))
+        except ValueError:
+            raise UsageError(f"--types must be comma-separated family ids, "
+                             f"not {args.types!r}") from None
         system = brent.invariant_system(multiset)
     _write(args.out, brent.export(system, args.format), out)
     return 0

@@ -166,16 +166,24 @@ def _sign_vector(signs):
 def _position_orbits():
     """The orbits of S3 x S3 on the 729 positions, each in increasing
     order, and the number of the orbit of each position.  An image of a
-    tensor is 0 outside the orbits that meet its support."""
-    tables = [_position_table(p, b) for p in S3_ELEMENTS for b in S3_ELEMENTS]
+    tensor is 0 outside the orbits that meet its support.  An orbit is
+    closed under the tables of rho and sigma in either factor, all
+    pure, so that no mixed table is built for it."""
+    tables = [_position_table(p, (1, 2, 3)) for p in (RHO_PERM, SIGMA_PERM)]
+    tables += [_position_table((1, 2, 3), b) for b in (RHO_PERM, SIGMA_PERM)]
     orbit_of = [None] * 729
     orbits = []
     for n in range(729):
         if orbit_of[n] is None:
-            members = tuple(sorted({table[n] for table in tables}))
-            for m in members:
-                orbit_of[m] = len(orbits)
-            orbits.append(members)
+            orbit_of[n] = len(orbits)
+            members = [n]
+            for m in members:  # grows while it is walked
+                for table in tables:
+                    k = table[m]
+                    if orbit_of[k] is None:
+                        orbit_of[k] = len(orbits)
+                        members.append(k)
+            orbits.append(tuple(sorted(members)))
     return tuple(orbit_of), tuple(orbits)
 
 

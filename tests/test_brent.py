@@ -1,15 +1,19 @@
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mm3sym import brent, group
+from mm3sym import brent, cli, group
 from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, IMAG
 from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
-from mm3sym.tensors import Tensor, tensor_from_factors
+from mm3sym.tensors import PAIRS, Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
 from mm3sym.invariants import orbit_sum
 from mm3sym.prover import enumerate_multisets
@@ -223,6 +227,128 @@ def test_dense_solution_and_products(monkeypatch):
     assert len(calls) <= 81 * 27
 
 
+def _perturbed_dense_solution():
+    """The dense solution with z5[3, 1] moved off it: exactly the 81
+    equations at z-cell (3, 1) break."""
+    sol = _dense_solution()
+    sol[BrentVar(2, 5, 3, 1)] += IMAG
+    return sol
+
+
+GENERIC_23_DIGESTS = {
+    "json": "fef6cd653265d0070080e5a07b0d54e946720e3cf841f5f2b32c26ba5a2ea98a",
+    "text": "352eac11b68c5e1fed90aa6a8ff16657ba49b210b34e90da63b9c0870cd43f2e",
+    "m2": "c9f809423800494d008b4bb2588dcb8c511d6cd668a732f8000e58eb07f4882f",
+}
+
+
+def _unbuildable(variables):
+    raise AssertionError("generic equations built")
+
+
+def test_generic_cli_paths_build_no_equation(monkeypatch, tmp_path):
+    # export, parse_system and check_solution read a generic system's
+    # rank and columns only: with the builder broken they still print
+    # the bytes of the built system
+    monkeypatch.setattr(brent, "_generic_equations", _unbuildable)
+    s = brent.generic_system(27)
+    assert len(s.equations) == 729
+    assert repr(s) == "<BrentSystem generic 27: 729 equations, 729 variables>"
+    assert brent.parse_system(brent.export(s, "json")) == s
+
+    def run(argv):
+        out = io.StringIO()
+        return cli.run(argv, out=out), out.getvalue()
+
+    for fmt in ("json", "text"):
+        code, text = run(["brent", "--mode", "generic", "--rank", "23",
+                          "--format", fmt])
+        assert code == 0
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GENERIC_23_DIGESTS[fmt], fmt
+    system = tmp_path / "system.json"
+    system.write_text(brent.export(s, "json"))
+    broken = [(a, b, (3, 1)) for a in PAIRS for b in PAIRS]
+    for sol, want in ((brent.trivial_solution(), (0, "SOLUTION OK\n")),
+                      (_perturbed_dense_solution(), (1, "".join(
+                          ["SOLUTION FAILS 81 equations\n"]
+                          + [f"  {label}\n" for label in broken])))):
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text(json.dumps({str(v): str(x)
+                                          for v, x in sol.items()}))
+        assert run(["check-solution", "--system", str(system),
+                    "--assignment", str(assignment)]) == want
+
+
+def test_generic_equations_build_once_and_equal_the_tuple(monkeypatch):
+    s = brent.generic_system(2)
+    built = tuple(s.equations)
+    assert s.equations[5] is built[5] and s.equations[-2:] == built[-2:]
+    assert s.equations == built and built == s.equations
+    assert hash(s.equations) == hash(built)
+    by_hand = brent.BrentSystem("generic", s.variables, built, rank=2)
+    assert by_hand == s and s == by_hand and hash(by_hand) == hash(s)
+    # equal unbuilt ranks compare by rank; other ranks differ
+    monkeypatch.setattr(brent, "_generic_equations", _unbuildable)
+    assert brent.generic_system(3) == brent.generic_system(3)
+    assert brent.generic_system(3).equations != brent.generic_system(4).equations
+    assert tuple(s.equations) == built
+
+
+def test_hand_built_generic_system_is_checked_term_by_term(monkeypatch):
+    # a generic system built by hand may carry any equations, so it is
+    # printed and checked from its terms, never from the columns
+    s = brent.generic_system(2)
+    equations = list(s.equations)
+    # an equation off the target's support gets a constant term
+    k = next(k for k, eq in enumerate(equations) if eq.rhs == ZERO)
+    edited = equations[k].lhs + 1
+    equations[k] = equations[k]._replace(lhs=edited)
+    by_hand = brent.BrentSystem("generic", s.variables, tuple(equations),
+                                rank=2)
+    assert by_hand != s
+    rng = random.Random(127)
+    assignments = [{v: 0 for v in s.variables}] + [
+        {v: Cyclotomic((rng.randint(-1, 1), 0, 0, rng.randint(-1, 1)))
+         for v in s.variables} for _ in range(3)]
+    want = [_substituted_check(by_hand, a) for a in assignments]
+    # the 27 of the target and the edited one, where the columns see 27
+    assert len(want[0][1]) == 28
+    assert brent.check_solution(s, assignments[0])[1] == [
+        label for label in want[0][1] if label != equations[k].label]
+
+    def no_columns(coords):
+        raise AssertionError("columns read")
+    monkeypatch.setattr(brent, "_generic_columns", no_columns)
+    assert [brent.check_solution(by_hand, a) for a in assignments] == want
+    rec = brent.to_json(by_hand)
+    assert rec["equations"][k]["lhs"] == str(edited)
+
+
+def test_generic_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(brent.export(brent.generic_system(27), "json"))
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps({
+        str(v): str(x) for v, x in _perturbed_dense_solution().items()}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    calls = (["check-solution", "--system", str(system),
+              "--assignment", str(assignment)],
+             ["brent", "--mode", "generic", "--rank", "3", "--format", "text"])
+    for argv in calls:
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            proc = subprocess.run([sys.executable, "-m", "mm3sym.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == (1 if argv[0] == "check-solution" else 0)
+
+
 def test_missing_variable_error():
     s = brent.generic_system(1)
     with pytest.raises(brent.BrentError):
@@ -411,12 +537,7 @@ def test_m2_export_golden():
 
 def test_generic_export_golden():
     s = brent.generic_system(23)
-    golden = {
-        "json": "fef6cd653265d0070080e5a07b0d54e946720e3cf841f5f2b32c26ba5a2ea98a",
-        "text": "352eac11b68c5e1fed90aa6a8ff16657ba49b210b34e90da63b9c0870cd43f2e",
-        "m2": "c9f809423800494d008b4bb2588dcb8c511d6cd668a732f8000e58eb07f4882f",
-    }
-    for fmt, digest in golden.items():
+    for fmt, digest in GENERIC_23_DIGESTS.items():
         assert hashlib.sha256(
             brent.export(s, fmt).encode()).hexdigest() == digest, fmt
 

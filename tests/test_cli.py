@@ -195,11 +195,19 @@ def test_brent_invariant_stdout():
     assert len(text.splitlines()) == 12
 
 
-def test_brent_usage_errors():
+def test_brent_usage_errors(capsys):
     code, _ = capture(["brent", "--mode", "generic"])
     assert code == 2
     code, _ = capture(["brent", "--mode", "invariant"])
     assert code == 2
+    # --types is a comma-separated list of ints, like --rank is an int
+    for types in ("5,x", "", "5,,7", "9.0"):
+        capsys.readouterr()
+        code, text = capture(["brent", "--mode", "invariant",
+                              "--types", types])
+        assert (code, text) == (2, ""), types
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: --types") and repr(types) in err
 
 
 def test_nonpositive_sizes_are_usage_errors(capsys):

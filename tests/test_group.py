@@ -1,4 +1,9 @@
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,11 +185,38 @@ def test_position_orbits_partition_and_are_closed():
     assert sorted(n for members in orbits for n in members) == list(range(729))
     assert all(orbit_of[n] == i for i, members in enumerate(orbits)
                for n in members)
-    for perm in S3_ELEMENTS:
-        for bperm in S3_ELEMENTS:
-            moves = group._position_table(perm, bperm)
-            for members in orbits:
-                assert {moves[n] for n in members} == set(members)
+    tables = [group._position_table(perm, bperm)
+              for perm in S3_ELEMENTS for bperm in S3_ELEMENTS]
+    for moves in tables:
+        for members in orbits:
+            assert {moves[n] for n in members} == set(members)
+    # the generator closure is the orbit of every position under all 36
+    # tables
+    for n in range(729):
+        assert orbits[orbit_of[n]] == tuple(sorted({t[n] for t in tables}))
+
+
+def test_classes_build_no_mixed_table():
+    # a fresh interpreter, so that no earlier test has built a table
+    code = """if True:
+        from mm3sym import group, invariants
+        table = group._position_table
+        built = set()
+        def spy(perm, bperm):
+            built.add((perm, bperm))
+            return table(perm, bperm)
+        group._position_table = spy
+        invariants.compute_classes()
+        print(repr((sorted(built), table.cache_info().currsize)))
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env).stdout
+    built, cached = ast.literal_eval(out)
+    assert built and cached == len(built)
+    assert all((1, 2, 3) in key for key in built), built
 
 
 def _act_on_index(g, alpha):
