@@ -85,6 +85,9 @@ def _write_json_report(report, out):
         out.write("[]\n}\n")
         return
     tails = {}
+    # the few distinct ids and fact names, each encoded once
+    ids = _Memo(str).__getitem__
+    names = _Memo(json.dumps).__getitem__
     for start in range(0, len(certificates), _REPORT_BLOCK):
         items = []
         for c in certificates[start:start + _REPORT_BLOCK]:
@@ -92,12 +95,12 @@ def _write_json_report(report, out):
             tail = tails.get(key)
             if tail is None:
                 # the pair as it sits at a certificate's indent 3
-                names = ",\n    ".join(map(json.dumps, c.identities))
+                cited = ",\n    ".join(map(names, c.identities))
                 tail = tails[key] = (
                     f'   "rule": {json.dumps(c.rule)},\n   "identities": '
-                    + (f"[\n    {names}\n   ]" if names else "[]") + "\n  }")
+                    + (f"[\n    {cited}\n   ]" if cited else "[]") + "\n  }")
             items.append('  {\n   "multiset": [\n    '
-                         + ",\n    ".join(map(str, c.multiset))
+                         + ",\n    ".join(map(ids, c.multiset))
                          + "\n   ],\n" + tail)
         out.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
     out.write("\n ]\n}\n")
@@ -148,8 +151,9 @@ def _cmd_classes(args, out):
 
 def _cmd_multisets(args, out):
     _require_positive(args.max_length, "--max-length")
-    for m in prover.enumerate_multisets(args.max_length):
-        out.write(",".join(str(fid) for fid in m) + "\n")
+    ids = _Memo(str).__getitem__
+    for m, _ in prover.walk_multisets(args.max_length):
+        out.write(",".join(map(ids, m)) + "\n")
     return 0
 
 

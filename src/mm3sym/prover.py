@@ -22,7 +22,8 @@ __all__ = [
     "ProofError", "EliminationCertificate",
     "REDUCIBLE", "GAMMA_9_12", "DIAGONAL_OR_GAMMA_TABLE", "E_11_12_21",
     "GAMMA_3_EQ_5", "RULES",
-    "MAX_LENGTH", "gamma_table", "gamma_row", "enumerate_multisets",
+    "MAX_LENGTH", "gamma_table", "gamma_row", "walk_multisets",
+    "enumerate_multisets",
     "check_replacement", "check_gamma9_12", "check_sign_table", "check_e_class",
     "check_final", "verify_theorem", "TheoremReport",
 ]
@@ -94,8 +95,14 @@ def gamma_table():
 def gamma_row(fid):
     """One family's row of gamma_table(), built on its own, so that a
     caller needing a few families does not project all 44."""
-    fam = get_family(fid)
-    return orbit_sum(fam.tensor(), fam.length)
+    return orbit_sum(_family_tensor(fid), get_family(fid).length)
+
+
+@lru_cache(maxsize=None)
+def _family_tensor(fid):
+    """A family's tensor in its fresh slot-0 parameters, expanded once
+    for the gamma table and every proof step that reads it."""
+    return get_family(fid).tensor()
 
 
 @lru_cache(maxsize=None)
@@ -105,26 +112,40 @@ def t_gamma():
 
 # -- multiset enumeration --------------------------------------------
 
+def walk_multisets(max_length):
+    """Yield every nonempty multiset of family ids with total orbit
+    length <= max_length, as a sorted tuple in lexicographic order,
+    together with its type set as an int: bit fid is set for each
+    family fid in the multiset.  The walk keeps only the open
+    prefixes, so it holds no list of the multisets."""
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    # fits[budget][k]: a child (fid,), 1 << fid and the child's own
+    # children, for each family from the k-th id on whose orbit fits
+    # in the budget, last first, ready for the stack
+    fams = [((fid,), 1 << fid, fam.length)
+            for fid, fam in sorted(all_families().items())]
+    fits = []
+    for budget in range(max_length + 1):
+        row = [[]]
+        for k in range(len(fams) - 1, -1, -1):
+            one, bit, length = fams[k]
+            row.append(row[-1] + [(one, bit, fits[budget - length][k])]
+                       if length <= budget else row[-1])
+        fits.append(row[:0:-1])
+    stack = fits[max_length][0][:]
+    pop, push = stack.pop, stack.append
+    while stack:
+        multiset, types, children = pop()
+        yield multiset, types
+        for one, bit, grandchildren in children:
+            push((multiset + one, types | bit, grandchildren))
+
+
 def enumerate_multisets(max_length):
     """All nonempty multisets of family ids with total orbit length
     <= max_length, as sorted tuples in lexicographic order."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    lengths = {fid: fam.length for fid, fam in all_families().items()}
-    ids = sorted(lengths)
-    out = []
-
-    def extend(prefix, start, budget):
-        for k in range(start, len(ids)):
-            fid = ids[k]
-            if lengths[fid] > budget:
-                continue
-            chosen = prefix + (fid,)
-            out.append(chosen)
-            extend(chosen, k, budget - lengths[fid])
-
-    extend((), 0, max_length)
-    return out
+    return [multiset for multiset, _ in walk_multisets(max_length)]
 
 
 def count_multisets(max_length):
@@ -258,7 +279,7 @@ def check_sign_table():
     # the diagonal part of the sum comes from types 9 and 7 alone and
     # is a multiple of the all-ones diagonal pattern
     for fid in sorted(GAMMA_TABLE_TYPES):
-        _require(not _diagonal_part(get_family(fid).tensor()),
+        _require(not _diagonal_part(_family_tensor(fid)),
                  "sign_table.diag", f"family {fid}")
         facts[f"sign_table.diag.{fid}"] = (
             f"family {fid} has no e(ii,jj,kk) entries"
@@ -323,7 +344,7 @@ def check_e_class():
     facts = {}
     table = gamma_table()
     for fid in sorted(E_CLASS_TYPES):
-        _require(not _diagonal_part(get_family(fid).tensor()),
+        _require(not _diagonal_part(_family_tensor(fid)),
                  "e_class.diag", f"family {fid}")
         facts[f"e_class.diag.{fid}"] = f"family {fid} has no e(ii,jj,kk) entries"
         _require(not table[fid][3], "e_class.g3", f"family {fid}")
@@ -361,7 +382,7 @@ def check_final():
                 "orbit sum of family 44 involves neither g3 nor g5"
             )
             continue
-        w = get_family(fid).tensor()
+        w = _family_tensor(fid)
         _require(pi12(w) == w, "final.pi12", f"family {fid}")
         _require(table[fid][3] == table[fid][5], "final.g3g5",
                  f"family {fid}")
@@ -443,8 +464,7 @@ def verify_theorem(max_length=MAX_LENGTH):
     # a certificate's rule and identities depend only on the type set,
     # so each type set is certified once, on its first multiset
     by_types = {}
-    for multiset in enumerate_multisets(max_length):
-        types = frozenset(multiset)
+    for multiset, types in walk_multisets(max_length):
         if types not in by_types:
             by_types[types] = _certificate_for(multiset)
         first = by_types[types]
@@ -454,8 +474,9 @@ def verify_theorem(max_length=MAX_LENGTH):
             certificates.append(
                 EliminationCertificate(multiset, first.rule, first.identities))
             rule_counts[first.rule] += 1
+    # every multiset cites the facts of its type set's certificate
     used = set()
-    for cert in certificates:
+    for cert in filter(None, by_types.values()):
         used.update(cert.identities)
     missing = used - set(facts)
     if missing:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,32 @@ def test_multisets():
     assert code == 0
     assert text.splitlines() == ["5", "5,7", "6", "6,6", "6,7", "6,7,7",
                                  "7", "7,7", "7,7,7", "7,7,7,7", "9"]
+
+
+class _LineCounter:
+    """An output stream that keeps nothing but a count of its lines."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def test_multisets_streams_from_the_walk():
+    # a list of the 105562 multisets of length <= 30 alone takes over
+    # 10 MB; the command writes each line as the walk reaches it
+    prover.enumerate_multisets(1)  # load the catalog before tracing
+    out = _LineCounter()
+    tracemalloc.start()
+    try:
+        code = run(["multisets", "--max-length", "30"], out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.lines == prover.count_multisets(30) == 105562
+    assert peak < 1_500_000
 
 
 def test_brent_generic(tmp_path):

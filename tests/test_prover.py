@@ -1,6 +1,8 @@
+import heapq
 import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from mm3sym.invariants import (
 )
 from mm3sym.poly import Polynomial
 from mm3sym.tensors import tensor_sum
-from mm3sym.catalog import all_families, get_family
+from mm3sym.catalog import OrbitFamily, all_families, get_family
 from mm3sym import prover
 from mm3sym.cli import run
 
@@ -39,7 +41,7 @@ def test_rule_sets_partition_the_catalog():
 
 
 def test_enumeration_against_counting_oracle():
-    for budget in (1, 5, 10, 23):
+    for budget in range(1, 24):
         assert len(prover.enumerate_multisets(budget)) == \
             prover.count_multisets(budget)
     assert len(prover.enumerate_multisets(23)) == GOLDEN_MULTISET_COUNT
@@ -48,6 +50,7 @@ def test_enumeration_against_counting_oracle():
 def test_enumeration_structure():
     ms = prover.enumerate_multisets(23)
     assert len(set(ms)) == len(ms)
+    assert ms == sorted(ms)  # the report bytes follow this order
     for m in ms:
         assert m == tuple(sorted(m))
         assert 1 <= sum(get_family(fid).length for fid in m) <= 23
@@ -245,13 +248,66 @@ def test_certificate_json():
     assert rec["rule"] in prover.RULES
 
 
-def test_certification_per_type_set_matches_direct_route():
-    # verify_theorem certifies each type set once; the rule logic on
-    # every multiset on its own must give the same certificates
-    report = prover.verify_theorem(23)
+@pytest.mark.parametrize("max_length", [1, 6, 12, 23])
+def test_certification_per_type_set_matches_direct_route(max_length):
+    # verify_theorem certifies each type set once, in one walk; the
+    # rule logic on every multiset on its own must give the same
+    # certificates, and both lists keep the walk's order
+    report = prover.verify_theorem(max_length)
+    multisets = prover.enumerate_multisets(max_length)
+    assert list(heapq.merge([c.multiset for c in report.certificates],
+                            report.survivors)) == multisets
+    assert len(multisets) == prover.count_multisets(max_length)
     got = {c.multiset: c for c in report.certificates}
     got.update((m, None) for m in report.survivors)
-    multisets = prover.enumerate_multisets(23)
-    assert len(got) == len(multisets)
     for m in multisets:
         assert got[m] == prover._certificate_for(m)
+
+
+def test_walk_yields_each_type_set_as_its_bits():
+    walk = list(prover.walk_multisets(23))
+    assert [m for m, _ in walk] == prover.enumerate_multisets(23)
+    for m, types in walk:
+        assert types == sum(1 << fid for fid in set(m))
+    with pytest.raises(ValueError):
+        next(prover.walk_multisets(0))
+
+
+def test_unverified_fact_of_a_late_type_set_is_caught(monkeypatch):
+    # the type set {5, 35} is first reached at multiset 8865 of 14623
+    certify = prover._certificate_for
+
+    def planted(multiset):
+        cert = certify(multiset)
+        if set(multiset) == {5, 35}:
+            cert = cert._replace(identities=(*cert.identities, "no.such.fact"))
+        return cert
+
+    monkeypatch.setattr(prover, "_certificate_for", planted)
+    with pytest.raises(prover.ProofError, match=r"certificates cite "
+                       r"unverified facts: \['no\.such\.fact'\]"):
+        prover.verify_theorem(23)
+
+
+def test_verify_work_counts(monkeypatch):
+    # from cold caches: one certification per type set, and each family
+    # tensor expanded once (44 fresh ones, 3 at the replacement points)
+    for cached in (prover.gamma_table, prover.gamma_row,
+                   prover._family_tensor):
+        cached.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(prover, "_certificate_for",
+                        counted("certify", prover._certificate_for))
+    monkeypatch.setattr(OrbitFamily, "tensor",
+                        counted("tensor", OrbitFamily.tensor))
+    report = prover.verify_theorem(23)
+    type_sets = {frozenset(c.multiset) for c in report.certificates}
+    assert calls["certify"] == len(type_sets) == 2620
+    assert calls["tensor"] <= 47
