@@ -167,9 +167,13 @@ def check_solution(system, assignment):
     assigned.  A generic system built by generic_system is checked from
     its coordinate columns, any other one term by term.
     """
+    # the system's own names are looked up; only other names are parsed
+    named = {str(v): v for v in system.variables}
     values = {}
     for k, v in assignment.items():
-        var = var_from_str(k) if isinstance(k, str) else k
+        var = k
+        if isinstance(k, str):
+            var = named.get(k) or var_from_str(k)
         v = Cyclotomic.coerce(v)
         values[var] = v if v else ZERO
     missing = [v for v in system.variables if v not in values]

@@ -127,13 +127,12 @@ def _cmd_verify(args, out):
 
 
 def _cmd_orbit_sum(args, out):
-    fam = get_family(args.type)
     if args.params is None:
-        v = orbit_sum(fam.tensor(), fam.length)
+        v = prover.gamma_row(args.type)
     else:
         # at a degenerate point the orbit is shorter than the family's
-        w = fam.tensor(_parse_scalars(args.params))
-        v = orbit_sum(w, len(group.orbit_and_stabilizer(w)[0]))
+        w = get_family(args.type).tensor(_parse_scalars(args.params))
+        v = orbit_sum(w, len(group.orbit_transversal(w)[0]))
     if args.full:
         out.write(gamma_to_tensor(v).dumps() + "\n")
     else:

@@ -10,12 +10,13 @@ standard basis indices cell by cell, a cell being one entry position
 (i, j) of a 3x3 factor: the target index depends only on the image
 (perm, bperm) in S3 x S3 and the sign only on the signs, so 36 position
 tables and 8 sign vectors, built from the cell rule, serve every
-element.
+element.  A sign vector is constant on each of 4 sign blocks of
+positions, so orbits are compared block by block, up to sign.
 """
 
 from functools import lru_cache
-from itertools import chain, product
-from operator import itemgetter, mul
+from itertools import accumulate, chain, pairwise, product
+from operator import itemgetter, mul, neg
 import re
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from .tensors import PAIRS, Tensor, all_indices
 
 __all__ = [
     "GroupElement", "enumerate_group", "act_on_tensor",
-    "orbit_and_stabilizer", "compose",
+    "orbit_transversal", "orbit_and_stabilizer", "compose",
     "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
 
@@ -52,6 +53,10 @@ def perm_mul(p, q):
 def perm_inverse(p):
     """The q with q(p(k)) = k."""
     return tuple(p.index(k) + 1 for k in (1, 2, 3))
+
+
+# the inverse of each permutation of {1,2,3}
+_S3_INVERSE = {p: perm_inverse(p) for p in S3_ELEMENTS}
 
 
 def perm_sign(p):
@@ -163,6 +168,27 @@ def _sign_vector(signs):
 
 
 @lru_cache(maxsize=None)
+def _sign_blocks():
+    """The sign blocks: the positions grouped by the symbols that occur
+    an odd number of times in their index, read off the sign vectors of
+    the three one-sign flips.  An element's sign at a position is the
+    product of its signs over those symbols, so it is constant on each
+    block, and a position table, relabelling the symbols by perm,
+    carries each block onto one block.  An index has six components, so
+    an even number of odd symbols: the blocks are the even positions
+    and the three with two odd symbols.  Returns the block of each
+    position, the blocks numbered in order of their first positions,
+    and the first position of each block."""
+    flips = (-1, 1, 1), (1, -1, 1), (1, 1, -1)
+    labels = list(zip(*map(_sign_vector, flips)))
+    first = {}
+    for n, label in enumerate(labels):
+        first.setdefault(label, n)
+    number = {label: b for b, label in enumerate(first)}
+    return tuple(number[label] for label in labels), tuple(first.values())
+
+
+@lru_cache(maxsize=None)
 def _position_orbits():
     """The orbits of S3 x S3 on the 729 positions, each in increasing
     order, and the number of the orbit of each position.  An image of a
@@ -198,78 +224,102 @@ def act_on_tensor(g, t):
     return Tensor(entries)
 
 
-def orbit_and_stabilizer(t, elements=None):
-    """The orbit {g t : g in G}, deduplicated structurally, in
-    first-seen order over the fixed group enumeration, and the number
-    of elements fixing t, from one pass over the elements.
+def orbit_transversal(t, elements=None):
+    """The first element reaching each distinct image g t, in order over
+    elements (the group G by default), and the number of elements
+    fixing t: the orbit's length and the stabilizer's order, with no
+    image built.
 
     Each distinct coefficient c of t is coded once as a small int k,
-    and -c as -k (0 is an absent entry), so that an entry coded k moves
-    to one coded sign * k.  The sign of g at a target position is the
-    sign of the twisted triple signs o perm at the source position, so
-    each image is one C-level gather from one of at most 8 twisted
-    copies of the coded tensor, through the table of g's inverse.  It is
-    read only at the positions it can reach, the position orbits that
-    meet the support, and hashed and compared as a tuple of codes
-    without touching a Polynomial.  A Tensor is built only for the
-    images the orbit keeps, with its entries in the order act_on_tensor
-    gives.
+    and -c as -k (0 is an absent entry).  An image of t is 0 outside
+    the position orbits that meet the support, its reach, and on each
+    sign block it is g's sign there times the coded tensor gathered
+    through the table of g's inverse image in S3 x S3.  So each of the
+    at most 36 images (perm, bperm) is one C-level gather of the coded
+    tensor at the reach, cut into its blocks, and each block tuple is
+    interned together with its negation as a signed int.  The key of g
+    is its image's block codes, each times g's sign on the block: two
+    images are equal exactly when their keys are.
     """
     if elements is None:
         elements = enumerate_group("G")
-    indices, position = _positions()
-    coeff = {}     # signed code -> coefficient
-    code_of = {}   # coefficient -> signed code
+    _, position = _positions()
+    code_of = {}     # coefficient -> signed code
     code_by_id = {}  # id of an entry's coefficient -> its code
     own = [0] * 729  # the code at each position
-    sources = []     # the position of each entry, in entry order
     for alpha, c in t.entries.items():
         # cells are shared objects, so most entries are found by id and
         # only each distinct object is hashed; equal objects share a code
         k = code_by_id.get(id(c))
         if k is None:
-            k = code_by_id[id(c)] = code_of.setdefault(c, len(coeff) // 2 + 1)
-            if k not in coeff:
-                code_of[-c] = -k
-                coeff[k], coeff[-k] = c, -c
-        n = position[alpha]
-        own[n] = k
-        sources.append(n)
-    # the positions an image can reach: a position orbit has at least 3
-    # members, so read gives a tuple.  A tensor that reaches all 729
-    # positions, or none, is read whole by tuple(), which returns a table
-    # itself, so that its gathers share the cached tables
+            k = code_of.get(c)
+            if k is None:
+                k = code_of[c] = len(code_of) + 1
+                code_of.setdefault(-c, -k)
+            code_by_id[id(c)] = k
+        own[position[alpha]] = k
+    # the reach, block by block; the zero tensor is read on orbit 0.  A
+    # position orbit has at least 3 members, so read gives a tuple
     orbit_of, orbits = _position_orbits()
-    reach = tuple(chain.from_iterable(
-        orbits[i] for i in sorted({orbit_of[n] for n in sources})))
-    read = itemgetter(*reach) if 0 < len(reach) < 729 else tuple
-    own_image = read(own)
+    block_of, firsts = _sign_blocks()
+    reach = [[] for _ in firsts]
+    met = {orbit_of[n] for n, k in enumerate(own) if k} or {0}
+    for n in chain.from_iterable(orbits[i] for i in met):
+        reach[block_of[n]].append(n)
+    read = itemgetter(*chain.from_iterable(reach))
+    cuts = list(accumulate(map(len, reach), initial=0))
+    blocks = [slice(a, b) for a, b in pairwise(cuts)]
 
-    gathers = {}   # (perm, bperm) -> its gather of an image at reach
-    twisted = {}   # sign triple -> coded tensor times its sign vector
+    interned = {}  # block tuple -> signed code; 0 for a tuple of zeros
+
+    def codes(image):
+        out = []
+        for block in blocks:
+            part = image[block]
+            k = interned.get(part)
+            if k is None:
+                flip = tuple(map(neg, part))
+                k = interned[part] = len(interned) + 1 if flip != part else 0
+                interned[flip] = -k
+            out.append(k)
+        return out
+
+    unmoved = (1, 2, 3), (1, 2, 3)
+    by_pair = {unmoved: codes(read(own))}
+    # t's own key: the identity's sign is +1 on every block
+    own_key = tuple(by_pair[unmoved])
+    on_blocks = {}  # sign triple -> its sign on each block
     seen = set()
-    orbit = []
+    transversal = []
     order = 0
-    for perm, signs, bperm in elements:
-        gather = gathers.get((perm, bperm))
-        if gather is None:
-            gather = gathers[perm, bperm] = itemgetter(
-                *read(_position_table(perm_inverse(perm),
-                                      perm_inverse(bperm))))
-        twist = signs[perm[0] - 1], signs[perm[1] - 1], signs[perm[2] - 1]
-        source = twisted.get(twist)
-        if source is None:
-            source = twisted[twist] = tuple(map(mul, own, _sign_vector(twist)))
-        image = gather(source)
-        if image == own_image:
+    for g in elements:
+        perm, signs, bperm = g
+        pair = by_pair.get((perm, bperm))
+        if pair is None:
+            inverse = _position_table(_S3_INVERSE[perm], _S3_INVERSE[bperm])
+            pair = by_pair[perm, bperm] = codes(
+                itemgetter(*read(inverse))(own))
+        sign = on_blocks.get(signs)
+        if sign is None:
+            sign = on_blocks[signs] = itemgetter(*firsts)(_sign_vector(signs))
+        key = tuple(map(mul, pair, sign))
+        if key == own_key:
             order += 1
         size = len(seen)
-        seen.add(image)  # one hash of the image, where `in` would add one
+        seen.add(key)  # one hash of the key, where `in` would add one
         if len(seen) > size:
-            moves = _position_table(perm, bperm)
-            orbit.append(Tensor({indices[moves[n]]: coeff[source[n]]
-                                 for n in sources}))
-    return orbit, order
+            transversal.append(g)
+    return transversal, order
+
+
+def orbit_and_stabilizer(t, elements=None):
+    """The orbit {g t : g in G}, deduplicated structurally, in
+    first-seen order over the fixed group enumeration (or over
+    elements), and the number of elements fixing t.  The orbit is read
+    from orbit_transversal, and each image is built by act_on_tensor,
+    so its entries are in t's entry order."""
+    transversal, order = orbit_transversal(t, elements)
+    return [act_on_tensor(g, t) for g in transversal], order
 
 
 def compose(g, h):

@@ -12,7 +12,10 @@ import pytest
 
 from mm3sym import brent, cli, group
 from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, IMAG
-from mm3sym.poly import BrentVar, ParamId, Polynomial, parse_polynomial
+from mm3sym.poly import (
+    BrentVar, ParamId, Polynomial, PolyParseError, parse_polynomial,
+    var_from_str,
+)
 from mm3sym.tensors import PAIRS, Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
 from mm3sym.invariants import orbit_sum
@@ -347,6 +350,26 @@ def test_generic_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             runs.append((proc.returncode, proc.stdout))
         assert runs[0] == runs[1], argv
         assert runs[0][0] == (1 if argv[0] == "check-solution" else 0)
+
+
+def test_check_solution_parses_only_names_outside_the_system(monkeypatch):
+    s = brent.generic_system(2)
+    parsed = []
+
+    def spy(name):
+        parsed.append(name)
+        return var_from_str(name)
+
+    monkeypatch.setattr(brent, "var_from_str", spy)
+    by_name = {str(v): k % 3 for k, v in enumerate(s.variables)}
+    by_var = {v: k % 3 for k, v in enumerate(s.variables)}
+    want = brent.check_solution(s, by_var)
+    assert brent.check_solution(s, by_name) == want and parsed == []
+    # a name the system lacks is parsed, and a bad one fails as before
+    assert brent.check_solution(s, {**by_name, "x03_11": 1, "b2": 0}) == want
+    assert parsed == ["x03_11", "b2"]
+    with pytest.raises(PolyParseError):
+        brent.check_solution(s, {**by_name, "q1_11": 0})
 
 
 def test_missing_variable_error():

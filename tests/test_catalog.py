@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from importlib import resources
+from operator import itemgetter
 
 import pytest
 
@@ -158,6 +159,34 @@ def test_verify_catalog_full():
     # orbit lengths, stabilizer products, symmetry and scaling laws for
     # every family; this is the expensive catalog check
     verify_catalog()
+
+
+def test_verify_catalog_builds_no_orbit_tensor(monkeypatch):
+    """verify_catalog reads only each orbit's length and stabilizer: it
+    builds no image Tensor in group, and gathers each family's coded
+    tensor at most once per image in S3 x S3."""
+    gathers = []
+
+    def counting_itemgetter(*items):
+        get = itemgetter(*items)
+
+        def gather(seq):
+            # the coded tensor is the one list that group gathers from
+            gathers.append(isinstance(seq, list))
+            return get(seq)
+        return gather
+
+    def no_tensor(*args):
+        raise AssertionError("verify_catalog built an orbit Tensor")
+
+    monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(group, "Tensor", no_tensor)
+    report = verify_catalog()
+    assert {fid: (rec["length"], rec["stabilizer"])
+            for fid, rec in report.items()} == {
+        fid: (fam.length, 144 // fam.length)
+        for fid, fam in all_families().items()}
+    assert len(report) <= sum(gathers) <= 36 * len(report)
 
 
 @pytest.mark.parametrize("linear, message", [

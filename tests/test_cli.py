@@ -74,6 +74,8 @@ def test_orbit_sum_at_a_degenerate_point():
         ["orbit-sum", "--type", "9", "--params", "1,0", "--full"])
     assert code == 0
     assert Tensor.loads(text) == get_family(9).tensor([1, 0])
+    # at a = b = 0 the tensor is 0, an orbit of one element
+    assert capture(["orbit-sum", "--type", "9", "--params", "0,0"]) == (0, "0\n")
     # at a generic point the orbit has the family's length
     fam = get_family(9)
     want = str(orbit_sum(fam.tensor([1, 2]), fam.length)) + "\n"

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,23 @@ def test_coded_orbit_matches_action_route():
         _assert_matches_action_route(t, enumerate_group(which))
 
 
+def test_orbit_matches_action_route_over_other_sequences():
+    """Any sequence of elements, in any order: the orbit is first-seen
+    over it, and the stabilizer is counted against t itself even when
+    the sequence lacks the identity or starts with an element that
+    moves t."""
+    G, G1 = enumerate_group("G"), enumerate_group("G1")
+    assert identity not in G[6:] and identity not in G1[1::5]
+    sequences = (tuple(reversed(G1)), list(G), G[6:], G1[1::5])
+    rng = random.Random(73)
+    tensors = [get_family(fid).tensor() for fid in (9, 17, 23, 41)]
+    tensors += [get_family(9).tensor([1, 0]), get_family(20).tensor([1, -1]),
+                rand_tensor(rng), rand_tensor(rng, size=12), Tensor()]
+    for t in tensors:
+        for elements in sequences:
+            _assert_matches_action_route(t, elements)
+
+
 def test_orbit_codes_equal_coefficients_that_are_other_objects():
     """Coefficients are coded by object first, then by value: equal
     coefficients that are different objects, and c beside -c as objects
@@ -178,6 +196,40 @@ def test_source_twist_gives_the_target_sign():
         inverse = group._position_table(perm_inverse(g.perm),
                                         perm_inverse(g.bperm))
         assert all(inverse[moves[q]] == q for q in range(729))
+
+
+def _odd_symbols(alpha):
+    return frozenset(s for s in (1, 2, 3)
+                     if sum(pair.count(s) for pair in alpha) % 2)
+
+
+def test_sign_blocks_are_the_odd_symbol_sets():
+    """The 4 blocks are the positions grouped by the symbols that occur
+    an odd number of times, the even positions first; every sign vector
+    is constant on each block, so its value at the block's first
+    position is its value on the block."""
+    indices, _ = group._positions()
+    block_of, firsts = group._sign_blocks()
+    odd = [_odd_symbols(alpha) for alpha in indices]
+    sets = list(dict.fromkeys(odd))  # in order of first position
+    assert sets == [set(), {1, 2}, {1, 3}, {2, 3}]
+    assert list(block_of) == [sets.index(s) for s in odd]
+    assert firsts == tuple(map(odd.index, sets))
+    for signs in product((1, -1), repeat=3):
+        vector = group._sign_vector(signs)
+        assert all(vector[n] == vector[firsts[block_of[n]]]
+                   for n in range(729)), signs
+
+
+def test_tables_carry_each_block_onto_one_block():
+    block_of, firsts = group._sign_blocks()
+    for perm in S3_ELEMENTS:
+        for bperm in S3_ELEMENTS:
+            moves = group._position_table(perm, bperm)
+            images = [{block_of[moves[n]] for n in range(729)
+                       if block_of[n] == b} for b in range(len(firsts))]
+            assert all(len(image) == 1 for image in images), (perm, bperm)
+            assert sorted(image.pop() for image in images) == [0, 1, 2, 3]
 
 
 def test_position_orbits_partition_and_are_closed():

@@ -125,6 +125,8 @@ UNREAD_EXPORTS = {
     "enumerate_multisets": "package API: the multiset walk as a list, "
                            "which tests check for order and count",
     "compose": "reference route: tests check act_on_tensor is an action",
+    "orbit_and_stabilizer": "package API: the orbit as Tensors, which tests "
+                            "compare with the action route",
     "r_sum": "reference route: tests check project against class sums",
     "reynolds": "reference route: tests check project against averaging",
     "trivial_solution": "the rank-27 decomposition ROADMAP item 3 starts from",
