@@ -165,7 +165,8 @@ def check_solution(system, assignment):
     Returns (ok, failing labels).  The assignment maps variable names
     (or variable objects) to scalars; every system variable must be
     assigned.  A generic system built by generic_system is checked from
-    its coordinate columns, any other one term by term.
+    its coordinate columns; any other one by substituting the values
+    into each left side, which must then be the constant on the right.
     """
     # the system's own names are looked up; only other names are parsed
     named = {str(v): v for v in system.variables}
@@ -181,20 +182,26 @@ def check_solution(system, assignment):
         raise BrentError(
             f"assignment misses {len(missing)} variables, first {missing[0]}"
         )
-    # Q(zeta_12) is a field, so a product of nonzero values is never 0:
-    # a head or term is 0 exactly when one of its factors is the ZERO
-    # object
     if isinstance(system.equations, _GenericEquations):
         failing = _failing_columns(system.variables, values)
-    else:
-        failing = _failing_terms(system.equations, values)
+        return not failing, failing
+    failing = []
+    for eq in system.equations:
+        lhs = eq.lhs.substitute(values)
+        if not lhs.is_constant():
+            raise BrentError(f"equation {eq.label} reads unassigned "
+                             f"variable {lhs.variables()[0]}")
+        if lhs.constant_value() != eq.rhs:
+            failing.append(eq.label)
     return not failing, failing
 
 
 def _failing_columns(variables, values):
     """The failing labels of a generic system.  Per cell pair (a, b),
     the heads x_t[a]*y_t[b] that are not ZERO are made once, and each
-    equation (a, b, c) is one dot() of them with the z column at c."""
+    equation (a, b, c) is one dot() of them with the z column at c.
+    Q(zeta_12) is a field, so a head is 0 exactly when one of its
+    factors is the ZERO object."""
     failing = []
     ab = None
     for label, xs, ys, zs, rhs in _generic_columns(
@@ -207,51 +214,6 @@ def _failing_columns(variables, values):
         if dot(heads, [zs[t] for t in kept]) != rhs:
             failing.append(label)
     return failing
-
-
-def _failing_terms(equations, values):
-    """The failing labels of any system.  A term c*m is
-    (c * head) * last^e, where last^e is the last factor of m and the
-    head the ones before it; each head is valued once for the whole
-    system, and each equation is one dot() of the terms' heads and
-    lasts."""
-    heads = {}
-    failing = []
-    for eq in equations:
-        xs, ys = [], []
-        for m, c in eq.lhs.terms.items():
-            if not m:
-                xs.append(c)
-                ys.append(ONE)
-                continue
-            v, e = m[-1]
-            last = values[v]
-            if last is ZERO:
-                continue
-            head = m[:-1]
-            h = heads.get(head)
-            if h is None:
-                h = heads[head] = _head_value(head, values)
-            if h is ZERO:
-                continue
-            xs.append(h if c is ONE else c * h)
-            ys.append(last if e == 1 else last ** e)
-        if dot(xs, ys) != eq.rhs:
-            failing.append(eq.label)
-    return failing
-
-
-def _head_value(head, values):
-    """The product of the head's factors at the values, or the ZERO
-    object when one of them is."""
-    out = ONE
-    for v, e in head:
-        x = values[v]
-        if x is ZERO:
-            return ZERO
-        x = x if e == 1 else x ** e
-        out = x if out is ONE else out * x
-    return out
 
 
 def trivial_solution():

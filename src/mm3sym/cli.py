@@ -150,9 +150,8 @@ def _cmd_classes(args, out):
 
 def _cmd_multisets(args, out):
     _require_positive(args.max_length, "--max-length")
-    ids = _Memo(str).__getitem__
     for m, _ in prover.walk_multisets(args.max_length):
-        out.write(",".join(map(ids, m)) + "\n")
+        out.write(",".join(map(str, m)) + "\n")
     return 0
 
 

@@ -20,12 +20,12 @@ from operator import itemgetter, mul, neg
 import re
 from typing import NamedTuple
 
-from .tensors import PAIRS, Tensor, all_indices
+from .tensors import INDICES, PAIRS, POSITION, Tensor
 
 __all__ = [
     "GroupElement", "enumerate_group", "act_on_tensor",
     "orbit_transversal", "orbit_and_stabilizer", "compose",
-    "identity", "parse_element", "S3_ELEMENTS", "perm_sign",
+    "parse_element", "S3_ELEMENTS", "perm_sign",
 ]
 
 # permutations of {1,2,3} as image tuples: p maps k to p[k-1]
@@ -89,8 +89,6 @@ class GroupElement(NamedTuple):
     __repr__ = __str__
 
 
-identity = GroupElement()
-
 _ELEMENT_RE = re.compile(
     r"a=\(perm=\((\d{3})\),signs=([+-]{3})\);b=([a-z*]+)$"
 )
@@ -131,13 +129,6 @@ def enumerate_group(which="G"):
             for bperm in _B_WORDS:
                 out.append(GroupElement(perm, signs, bperm))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _positions():
-    """The 729 indices in encoded order and the position of each."""
-    indices = tuple(all_indices())
-    return indices, {alpha: n for n, alpha in enumerate(indices)}
 
 
 @lru_cache(maxsize=None)
@@ -214,13 +205,12 @@ def _position_orbits():
 
 
 def act_on_tensor(g, t):
-    indices, position = _positions()
     moves = _position_table(g.perm, g.bperm)
     sign = _sign_vector(g.signs)
     entries = {}
     for alpha, c in t.entries.items():
-        n = moves[position[alpha]]
-        entries[indices[n]] = c if sign[n] > 0 else -c
+        n = moves[POSITION[alpha]]
+        entries[INDICES[n]] = c if sign[n] > 0 else -c
     return Tensor(entries)
 
 
@@ -243,7 +233,6 @@ def orbit_transversal(t, elements=None):
     """
     if elements is None:
         elements = enumerate_group("G")
-    _, position = _positions()
     code_of = {}     # coefficient -> signed code
     code_by_id = {}  # id of an entry's coefficient -> its code
     own = [0] * 729  # the code at each position
@@ -257,7 +246,7 @@ def orbit_transversal(t, elements=None):
                 k = code_of[c] = len(code_of) + 1
                 code_of.setdefault(-c, -k)
             code_by_id[id(c)] = k
-        own[position[alpha]] = k
+        own[POSITION[alpha]] = k
     # the reach, block by block; the zero tensor is read on orbit 0.  A
     # position orbit has at least 3 members, so read gives a tuple
     orbit_of, orbits = _position_orbits()

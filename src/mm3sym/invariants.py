@@ -11,9 +11,7 @@ from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, ONE, _signed_sum
 from .poly import Polynomial, add_into, _term_str
-from .tensors import (
-    Tensor, all_indices, decode_index, encode_index, index_is_even, tensor_sum,
-)
+from .tensors import INDICES, POSITION, Tensor, index_is_even, tensor_sum
 from . import group
 
 __all__ = [
@@ -69,7 +67,7 @@ def compute_classes():
     classes = []
     covered = set()
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        orbit = set(map(decode_index, orbits[orbit_of[encode_index(rep)]]))
+        orbit = {INDICES[n] for n in orbits[orbit_of[POSITION[rep]]]}
         if len(orbit) != CLASS_SIZES[cid - 1]:
             raise ClassTableError(f"class Q{cid} has {len(orbit)} indices, "
                                   f"expected {CLASS_SIZES[cid - 1]}")
@@ -77,7 +75,7 @@ def compute_classes():
             raise ClassTableError(f"class Q{cid} meets an earlier class")
         covered |= orbit
         classes.append(OrbitClass(cid, orbit, rep))
-    even = {a for a in all_indices() if index_is_even(a)}
+    even = set(filter(index_is_even, INDICES))
     if covered != even:
         raise ClassTableError(f"the classes cover {len(covered)} indices, "
                               f"not the {len(even)} even indices")

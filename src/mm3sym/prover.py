@@ -175,12 +175,6 @@ def _require(cond, name, detail=""):
         raise ProofError(f"proof step {name} failed {detail}".strip())
 
 
-def small_type_ids(budget):
-    """Family ids whose orbit fits in the given residual length."""
-    return sorted(fid for fid, fam in all_families().items()
-                  if fam.length <= budget)
-
-
 def check_replacement():
     """Replacement argument for the nine reducible types: their orbit
     sums live in the span of gamma_1, gamma_2, gamma_6, which is also
@@ -236,7 +230,8 @@ def check_gamma9_12():
     target tensor violates."""
     facts = {}
     table = gamma_table()
-    companions = small_type_ids(MAX_LENGTH - 18)
+    companions = sorted(fid for fid, fam in all_families().items()
+                        if fam.length <= MAX_LENGTH - 18)
     _require(companions == [5, 6, 7, 9], "gamma9_12.companions", str(companions))
     facts["gamma9_12.companions"] = (
         f"residual budget {MAX_LENGTH} - 18 = {MAX_LENGTH - 18} "

@@ -12,33 +12,22 @@ from itertools import chain, product
 from .poly import Polynomial, add_into, parse_polynomial
 
 __all__ = [
-    "PAIRS", "encode_index", "decode_index", "all_indices", "index_is_even",
+    "PAIRS", "INDICES", "POSITION", "index_is_even",
     "Tensor", "tensor_sum", "tensor_from_factors", "pi12",
 ]
 
 # The cell order: the 9 positions (i, j) of a 3x3 matrix, row by row.
-# Index n has pairs PAIRS[n % 9], PAIRS[n // 9 % 9], PAIRS[n // 81].
+# The index at position n has pairs PAIRS[n % 9], PAIRS[n // 9 % 9],
+# PAIRS[n // 81]: INDICES lists the 729 indices by position, and
+# POSITION maps each index to its position.
 PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-_CELL = {pair: n for n, pair in enumerate(PAIRS)}
+INDICES = tuple((a, b, c) for c in PAIRS for b in PAIRS for a in PAIRS)
+POSITION = {alpha: n for n, alpha in enumerate(INDICES)}
 
 
 def _ints_only(x):
     """Whether x is made of ints only: no bool or float that equals one."""
     return type(x) is int or type(x) is list and all(map(_ints_only, x))
-
-
-def encode_index(alpha):
-    a, b, c = alpha
-    return _CELL[a] + 9 * _CELL[b] + 81 * _CELL[c]
-
-
-def decode_index(n):
-    return PAIRS[n % 9], PAIRS[n // 9 % 9], PAIRS[n // 81]
-
-
-def all_indices():
-    """All 729 indices in encoded order."""
-    return [decode_index(n) for n in range(729)]
 
 
 def index_is_even(alpha):
@@ -89,7 +78,7 @@ class Tensor:
         return len(self.entries)
 
     def items(self):
-        return sorted(self.entries.items(), key=lambda kv: encode_index(kv[0]))
+        return sorted(self.entries.items(), key=lambda kv: POSITION[kv[0]])
 
     def __str__(self):
         parts = [f"e[{_idx_str(a)}]*({p})" for a, p in self.items()]
@@ -121,12 +110,11 @@ class Tensor:
             if not (isinstance(rec, dict) and isinstance(rec.get("coeff"), str)):
                 raise ValueError(f"bad tensor entry {rec!r}")
             try:
-                # pairs of ints over {1, 2, 3}, each read as the cell it
-                # names (true and 1.0 equal 1, so they would name its cell)
+                # three pairs of ints over {1, 2, 3}, read as the index
+                # they name (true and 1.0 equal 1, so they would name one)
                 if not _ints_only(rec.get("idx")):
                     raise ValueError
-                alpha = tuple(PAIRS[_CELL[i, j]] for i, j in rec.get("idx"))
-                encode_index(alpha)  # and exactly three of them
+                alpha = INDICES[POSITION[tuple(map(tuple, rec["idx"]))]]
             except (TypeError, ValueError, KeyError):
                 raise ValueError(f"bad tensor index in {rec!r}") from None
             if alpha in seen:

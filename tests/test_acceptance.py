@@ -12,9 +12,7 @@ import time
 from mm3sym import group
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import Polynomial, parse_polynomial
-from mm3sym.tensors import (
-    Tensor, all_indices, index_is_even, decode_index, tensor_sum,
-)
+from mm3sym.tensors import INDICES, Tensor, index_is_even, tensor_sum
 from mm3sym.invariants import (
     compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES,
     GammaVector, project, orbit_sum, gamma_to_tensor, reynolds,
@@ -51,7 +49,7 @@ def test_criterion_1_class_table():
                                               18, 18, 6, 18, 18, 6)
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
         assert rep in classes[cid - 1].members
-    assert sum(1 for a in all_indices() if index_is_even(a)) == 183
+    assert sum(1 for a in INDICES if index_is_even(a)) == 183
 
 
 @criterion(2, "target tensor projects to g1 + g3 + g9", 1)
@@ -127,7 +125,7 @@ def test_criterion_8_invariance():
     for _ in range(20):
         entries = {}
         for _ in range(6):
-            entries[decode_index(rng.randrange(729))] = \
+            entries[INDICES[rng.randrange(729)]] = \
                 Polynomial.coerce(rng.randint(-3, 3))
         w = Tensor({a: c for a, c in entries.items() if c})
         v = project(w)
@@ -136,7 +134,7 @@ def test_criterion_8_invariance():
         g = rng.choice(G)
         assert project(group.act_on_tensor(g, w)) == v         # invariance
     zero = Tensor()
-    for alpha in all_indices():
+    for alpha in INDICES:
         if index_is_even(alpha):
             continue
         total = Tensor()

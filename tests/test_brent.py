@@ -132,6 +132,9 @@ def _substituted_check(system, assignment):
 
 
 def test_check_solution_matches_substitution():
+    # check_solution substitutes too, except on the columns of a system
+    # built by generic_system: only ranks 1 to 3 compare two routes, the
+    # other systems pin the name lookup and the coercion of the values
     rng = random.Random(109)
     scalars = {
         "gaussian": lambda: Cyclotomic((rng.randint(-2, 2), 0, 0,
@@ -376,6 +379,65 @@ def test_missing_variable_error():
     s = brent.generic_system(1)
     with pytest.raises(brent.BrentError):
         brent.check_solution(s, {})
+
+
+def test_unassigned_variable_in_an_equation_is_an_error(monkeypatch, capsys,
+                                                        tmp_path):
+    # a hand-built invariant system whose equation reads b1, which is
+    # neither one of its variables nor assigned: there is no verdict,
+    # so check_solution raises and never returns ok
+    a1 = ParamId(1, "a")
+    s = brent.BrentSystem("invariant", (a1,), (
+        brent.Equation(1, parse_polynomial("a1 + b1"), ONE),), multiset=(9,))
+    for assignment in ({a1: 1}, {a1: 0}, {"a1": 1}):
+        with pytest.raises(brent.BrentError, match="unassigned variable b1"):
+            brent.check_solution(s, assignment)
+    # with b1 assigned too, the equation has a verdict
+    assert brent.check_solution(s, {a1: 1, "b1": 0}) == (True, [])
+    # the CLI reports it as a parse error
+    monkeypatch.setattr(brent, "parse_system", lambda text: s)
+    system, assignment = tmp_path / "system.json", tmp_path / "a.json"
+    system.write_text("{}")
+    assignment.write_text('{"a1": "1"}')
+    out = io.StringIO()
+    code = cli.run(["check-solution", "--system", str(system),
+                    "--assignment", str(assignment)], out=out)
+    assert (code, out.getvalue()) == (3, "")
+    assert "unassigned variable b1" in capsys.readouterr().err
+
+
+# A rational point on each consistent type of length 27 (ROADMAP item 3,
+# the realise table): the parameters of each slot in catalog letter order
+LENGTH_27_POINTS = {
+    (5, 24, 44): ((0, 1), (0, 1, 0, 0, Fraction(1, 2)), (1, 0)),
+    (5, 38, 44): ((0, 1), (0, 1, 0, 0, Fraction(1, 2)), (1, 0)),
+    (5, 26, 44): ((0, 1), (0, 1, 0, 1, 0), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("multiset", list(LENGTH_27_POINTS))
+def test_length_27_points_solve_their_invariant_systems(multiset, tmp_path):
+    s = brent.invariant_system(multiset)
+    point = {ParamId(slot, letter): x
+             for slot, (fid, values) in enumerate(
+                 zip(multiset, LENGTH_27_POINTS[multiset]), start=1)
+             for letter, x in zip(get_family(fid).params, values)}
+    assert set(point) == set(s.variables)
+    off = {**point, ParamId(1, "a"): 1}
+    assert brent.check_solution(s, point) == (True, [])
+    assert brent.check_solution(s, off) == (False, [1, 2, 6])
+    system = tmp_path / "system.json"
+    system.write_text(brent.export(s, "json"))
+    for values, want in ((point, (0, "SOLUTION OK\n")),
+                         (off, (1, "SOLUTION FAILS 3 equations\n"
+                                   "  1\n  2\n  6\n"))):
+        assignment = tmp_path / "assignment.json"
+        assignment.write_text(json.dumps({str(v): str(x)
+                                          for v, x in values.items()}))
+        out = io.StringIO()
+        code = cli.run(["check-solution", "--system", str(system),
+                        "--assignment", str(assignment)], out=out)
+        assert (code, out.getvalue()) == want
 
 
 def test_invariant_counts():

@@ -10,12 +10,12 @@ import pytest
 
 from mm3sym import group
 from mm3sym.group import (
-    GroupElement, enumerate_group, parse_element, identity, compose,
+    GroupElement, enumerate_group, parse_element, compose,
     act_on_tensor, orbit_and_stabilizer, perm_sign, perm_inverse,
     S3_ELEMENTS,
 )
 from mm3sym.poly import Polynomial
-from mm3sym.tensors import Tensor, decode_index, tensor_from_factors
+from mm3sym.tensors import INDICES, Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, get_family, matmul_tensor
 
 from factors import act_on_factors, matrix
@@ -24,7 +24,7 @@ from factors import act_on_factors, matrix
 def rand_tensor(rng, size=5):
     entries = {}
     for _ in range(size):
-        entries[decode_index(rng.randrange(729))] = rng.randint(1, 4)
+        entries[INDICES[rng.randrange(729)]] = rng.randint(1, 4)
     return Tensor({a: Polynomial.coerce(c) for a, c in entries.items()})
 
 
@@ -49,7 +49,7 @@ def test_group_closure_and_inverses():
             assert compose(g, h) in G
     # each sampled element has an inverse in G
     for g in sample:
-        assert any(compose(g, h) == identity for h in G)
+        assert any(compose(g, h) == GroupElement() for h in G)
 
 
 def test_composition_is_action():
@@ -61,7 +61,7 @@ def test_composition_is_action():
         assert act_on_tensor(g, act_on_tensor(h, t)) == \
             act_on_tensor(compose(g, h), t)
     t = rand_tensor(rng)
-    assert act_on_tensor(identity, t) == t
+    assert act_on_tensor(GroupElement(), t) == t
 
 
 def _unit(alpha):
@@ -149,7 +149,7 @@ def test_orbit_matches_action_route_over_other_sequences():
     the sequence lacks the identity or starts with an element that
     moves t."""
     G, G1 = enumerate_group("G"), enumerate_group("G1")
-    assert identity not in G[6:] and identity not in G1[1::5]
+    assert GroupElement() not in G[6:] and GroupElement() not in G1[1::5]
     sequences = (tuple(reversed(G1)), list(G), G[6:], G1[1::5])
     rng = random.Random(73)
     tensors = [get_family(fid).tensor() for fid in (9, 17, 23, 41)]
@@ -165,7 +165,7 @@ def test_orbit_codes_equal_coefficients_that_are_other_objects():
     coefficients that are different objects, and c beside -c as objects
     of their own, must still code alike."""
     rng = random.Random(71)
-    cases = [Tensor({decode_index(rng.randrange(729)):
+    cases = [Tensor({INDICES[rng.randrange(729)]:
                      Polynomial.coerce(rng.choice((1, -1, 2, -2)))
                      for _ in range(size)}) for size in (1, 3, 12, 40)]
     for fid in (9, 23, 41):
@@ -208,9 +208,8 @@ def test_sign_blocks_are_the_odd_symbol_sets():
     an odd number of times, the even positions first; every sign vector
     is constant on each block, so its value at the block's first
     position is its value on the block."""
-    indices, _ = group._positions()
     block_of, firsts = group._sign_blocks()
-    odd = [_odd_symbols(alpha) for alpha in indices]
+    odd = [_odd_symbols(alpha) for alpha in INDICES]
     sets = list(dict.fromkeys(odd))  # in order of first position
     assert sets == [set(), {1, 2}, {1, 3}, {2, 3}]
     assert list(block_of) == [sets.index(s) for s in odd]
@@ -296,13 +295,12 @@ def test_tables_factor_the_action():
     and its sign only on signs, read at the target position: one
     position table per image in S3 x S3, one sign vector per sign
     triple, each as the reference action on single indices gives."""
-    indices, _ = group._positions()
     for g in enumerate_group("G1"):
         moves = group._position_table(g.perm, g.bperm)
         signs = group._sign_vector(g.signs)
-        for n, alpha in enumerate(indices):
+        for n, alpha in enumerate(INDICES):
             m = moves[n]
-            assert (indices[m], signs[m]) == _act_on_index(g, alpha)
+            assert (INDICES[m], signs[m]) == _act_on_index(g, alpha)
     assert group._position_table.cache_info().currsize == 36
     assert group._sign_vector.cache_info().currsize == 8
 
@@ -312,12 +310,13 @@ def test_element_syntax_roundtrip():
     for g in enumerate_group("G1"):
         h = parse_element(str(g))
         assert h == g and hash(h) == hash(g)
-    assert GroupElement() == identity
+    assert GroupElement() == GroupElement((1, 2, 3), (1, 1, 1), (1, 2, 3))
     g = parse_element("a=(perm=(231),signs=+--);b=rho*sigma")
     assert g.perm == (2, 3, 1) and g.signs == (1, -1, -1)
-    assert parse_element("a=(perm=(123),signs=+++);b=id") == identity
+    assert parse_element("a=(perm=(123),signs=+++);b=id") == GroupElement()
     # products of generators are canonicalized
-    assert parse_element("a=(perm=(123),signs=+++);b=rho*rho") == identity
+    assert parse_element(
+        "a=(perm=(123),signs=+++);b=rho*rho") == GroupElement()
     for bad in ("", "a=(perm=(124),signs=+++);b=id",
                 "a=(perm=(123),signs=++);b=id",
                 "a=(perm=(123),signs=+++);b=tau"):

@@ -130,7 +130,6 @@ UNREAD_EXPORTS = {
     "r_sum": "reference route: tests check project against class sums",
     "reynolds": "reference route: tests check project against averaging",
     "trivial_solution": "the rank-27 decomposition ROADMAP item 3 starts from",
-    "identity": "the neutral element of G; tests compare GroupElement() to it",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from mm3sym import group, invariants
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import Polynomial, parse_polynomial
-from mm3sym.tensors import Tensor, decode_index, pi12, tensor_sum
+from mm3sym.tensors import INDICES, Tensor, pi12, tensor_sum
 from mm3sym.invariants import (
     compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES, ClassTableError,
     GammaVector, r_sum, project, orbit_sum,
@@ -17,7 +17,7 @@ from mm3sym.catalog import matmul_tensor, get_family
 def rand_tensor(rng, size=5):
     entries = {}
     for _ in range(size):
-        entries[decode_index(rng.randrange(729))] = \
+        entries[INDICES[rng.randrange(729)]] = \
             Polynomial.coerce(rng.randint(-3, 3))
     return Tensor({a: c for a, c in entries.items() if c})
 

@@ -206,8 +206,9 @@ def test_certificate_obstructions_numerically():
 
 
 def test_replacement_budget_data():
-    assert prover.small_type_ids(5) == [5, 6, 7, 9]
-    assert prover.small_type_ids(0) == []
+    # only types 5, 6, 7 and 9 fit beside a length-18 type at length 23
+    assert prover.check_gamma9_12()["gamma9_12.companions"] == (
+        "residual budget 23 - 18 = 5 admits only types 5, 6, 7, 9")
     for fid in prover.REPLACEABLE_LARGE:
         assert get_family(fid).length > 6
     for fid in prover.REPLACEABLE_EQUAL:

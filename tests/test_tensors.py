@@ -8,7 +8,7 @@ from mm3sym.catalog import get_family
 from mm3sym.cyclotomic import Cyclotomic, IMAG, ZETA
 from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import (
-    encode_index, decode_index, all_indices, index_is_even,
+    INDICES, POSITION, index_is_even,
     Tensor, tensor_from_factors, pi12,
 )
 
@@ -18,7 +18,7 @@ from factors import matrix
 def rand_tensor(rng, size=6):
     entries = {}
     for _ in range(size):
-        alpha = decode_index(rng.randrange(729))
+        alpha = INDICES[rng.randrange(729)]
         entries[alpha] = Polynomial.constant(rng.randint(1, 5))
     return Tensor(entries)
 
@@ -26,17 +26,17 @@ def rand_tensor(rng, size=6):
 def test_index_codec():
     seen = set()
     for n in range(729):
-        alpha = decode_index(n)
-        assert encode_index(alpha) == n
+        alpha = INDICES[n]
+        assert POSITION[alpha] == n
         seen.add(alpha)
-    assert len(seen) == 729
-    assert all_indices()[0] == ((1, 1), (1, 1), (1, 1))
+    assert len(seen) == 729 and len(POSITION) == 729
+    assert INDICES[0] == ((1, 1), (1, 1), (1, 1))
     # pair k of index n is digit k of n in base 9, cells row by row
-    assert decode_index(1 + 9 * 5 + 81 * 8) == ((1, 2), (2, 3), (3, 3))
+    assert INDICES[1 + 9 * 5 + 81 * 8] == ((1, 2), (2, 3), (3, 3))
 
 
 def test_even_indices():
-    even = [a for a in all_indices() if index_is_even(a)]
+    even = [a for a in INDICES if index_is_even(a)]
     assert len(even) == 183
     assert index_is_even(((1, 1), (1, 1), (1, 1)))
     assert index_is_even(((1, 2), (2, 3), (3, 1)))
@@ -119,14 +119,14 @@ def test_items_sorted():
     one = Polynomial.constant(1)
     t = Tensor({((3, 3), (3, 3), (3, 3)): one, ((1, 1), (1, 1), (1, 1)): one})
     keys = [a for a, _ in t.items()]
-    assert keys == sorted(keys, key=encode_index)
+    assert keys == sorted(keys, key=POSITION.__getitem__)
 
 
 def reference_tensor(x, y, z, scale=None):
     """x (x) y (x) z as x[a] * y[b] * z[c] at every index, one product
     per entry."""
     entries = {}
-    for alpha in all_indices():
+    for alpha in INDICES:
         (i1, j1), (i2, j2), (i3, j3) = alpha
         p = x[i1 - 1][j1 - 1] * y[i2 - 1][j2 - 1] * z[i3 - 1][j3 - 1]
         if scale is not None:
