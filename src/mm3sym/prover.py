@@ -49,13 +49,8 @@ REPLACEABLE_EQUAL = frozenset({4, 39, 43})               # replaced by <= 6 tens
 GAMMA_9_12_TYPES = frozenset({17, 22, 23, 26, 27, 28, 30, 31, 36, 37})
 GAMMA_TABLE_TYPES = frozenset({24, 29, 32, 38})
 E_CLASS_TYPES = frozenset({35})
-
-
-@lru_cache(maxsize=None)
-def remaining_types():
-    handled = (REPLACEABLE_LARGE | REPLACEABLE_EQUAL | GAMMA_9_12_TYPES
-               | GAMMA_TABLE_TYPES | E_CLASS_TYPES)
-    return frozenset(all_families()) - handled
+FINAL_TYPES = frozenset({1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                         19, 20, 34, 40, 41, 44})  # all the others
 
 
 class EliminationCertificate(NamedTuple):
@@ -120,26 +115,33 @@ def walk_multisets(max_length):
     prefixes, so it holds no list of the multisets."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    # fits[budget][k]: a child (fid,), 1 << fid and the child's own
-    # children, for each family from the k-th id on whose orbit fits
-    # in the budget, last first, ready for the stack
+    # chains[budget][k]: None, or (one, bit, children, rest) for the
+    # first family from the k-th id on that fits in the budget: one is
+    # (fid,), bit is 1 << fid, children the chain of the budget left
+    # after it from the same id on, and rest the chain after it
     fams = [((fid,), 1 << fid, fam.length)
             for fid, fam in sorted(all_families().items())]
-    fits = []
+    chains = []
     for budget in range(max_length + 1):
-        row = [[]]
+        row = [None]
         for k in range(len(fams) - 1, -1, -1):
             one, bit, length = fams[k]
-            row.append(row[-1] + [(one, bit, fits[budget - length][k])]
+            row.append((one, bit, chains[budget - length][k], row[-1])
                        if length <= budget else row[-1])
-        fits.append(row[:0:-1])
-    stack = fits[max_length][0][:]
+        row.reverse()
+        chains.append(row)
+    # each pop yields one multiset, and pushes its rest and its children
+    root = chains[max_length][0]
+    stack = [((), 0, root)] if root else []
     pop, push = stack.pop, stack.append
     while stack:
-        multiset, types, children = pop()
+        prefix, types, (one, bit, children, rest) = pop()
+        if rest:
+            push((prefix, types, rest))
+        multiset, types = prefix + one, types | bit
         yield multiset, types
-        for one, bit, grandchildren in children:
-            push((multiset + one, types | bit, grandchildren))
+        if children:
+            push((multiset, types, children))
 
 
 def enumerate_multisets(max_length):
@@ -342,11 +344,7 @@ def check_e_class():
         _require(not _diagonal_part(_family_tensor(fid)),
                  "e_class.diag", f"family {fid}")
         facts[f"e_class.diag.{fid}"] = f"family {fid} has no e(ii,jj,kk) entries"
-        _require(not table[fid][3], "e_class.g3", f"family {fid}")
-        facts[f"e_class.g3.{fid}"] = (
-            f"orbit sum of family {fid} has zero g3 coordinate"
-        )
-    for fid in (5, 6, 7):
+    for fid in sorted(E_CLASS_TYPES | {5, 6, 7}):
         _require(not table[fid][3], "e_class.g3", f"family {fid}")
         facts[f"e_class.g3.{fid}"] = (
             f"orbit sum of family {fid} has zero g3 coordinate"
@@ -362,10 +360,10 @@ def check_final():
     type 44, neither); the target has (g3, g5) = (1, 0)."""
     facts = {}
     table = gamma_table()
-    rest = remaining_types()
-    want = frozenset({1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                      19, 20, 34, 40, 41, 44})
-    _require(rest == want, "final.types", str(sorted(rest)))
+    rest = frozenset(all_families()) - (
+        REPLACEABLE_LARGE | REPLACEABLE_EQUAL | GAMMA_9_12_TYPES
+        | GAMMA_TABLE_TYPES | E_CLASS_TYPES)
+    _require(rest == FINAL_TYPES, "final.types", str(sorted(rest)))
     facts["final.types"] = (
         "types not eliminated by the earlier steps: " + str(sorted(rest))
     )
@@ -439,7 +437,7 @@ def _certificate_for(multiset):
             ids += [f"e_class.g3.{fid}" for fid in sorted(types)]
             ids += ["e_class.target.g3"]
         return EliminationCertificate(multiset, E_11_12_21, tuple(ids))
-    if types <= remaining_types():
+    if types <= FINAL_TYPES:
         ids = [f"final.g3g5.{fid}" for fid in sorted(types)]
         ids += ["final.target"]
         return EliminationCertificate(multiset, GAMMA_3_EQ_5, tuple(ids))

@@ -2,6 +2,7 @@ import heapq
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from factors import act_on_factors
 
 # frozen count of nonempty type multisets of total length <= 23
 GOLDEN_MULTISET_COUNT = 14623
+# and of total length <= 24, 25, 26, 27
+GOLDEN_COUNTS_ABOVE = {24: 19923, 25: 26356, 26: 35100, 27: 46511}
 
 
 def test_rule_sets_partition_the_catalog():
@@ -30,7 +33,7 @@ def test_rule_sets_partition_the_catalog():
         prover.GAMMA_9_12_TYPES,
         prover.GAMMA_TABLE_TYPES,
         prover.E_CLASS_TYPES,
-        prover.remaining_types(),
+        prover.FINAL_TYPES,
     )
     assert [len(s) for s in sets] == [9, 10, 4, 1, 20]
     union = set()
@@ -41,10 +44,12 @@ def test_rule_sets_partition_the_catalog():
 
 
 def test_enumeration_against_counting_oracle():
-    for budget in range(1, 24):
+    for budget in range(1, 28):
         assert len(prover.enumerate_multisets(budget)) == \
             prover.count_multisets(budget)
     assert len(prover.enumerate_multisets(23)) == GOLDEN_MULTISET_COUNT
+    for budget, count in GOLDEN_COUNTS_ABOVE.items():
+        assert prover.count_multisets(budget) == count
 
 
 def test_enumeration_structure():
@@ -272,6 +277,28 @@ def test_walk_yields_each_type_set_as_its_bits():
         assert types == sum(1 << fid for fid in set(m))
     with pytest.raises(ValueError):
         next(prover.walk_multisets(0))
+
+
+def test_walk_table_shares_its_tails():
+    # the table holds one chain link per (budget, family) and copies no
+    # list, so at 1000 it stays near 3.6 MB before the first multiset
+    prover.enumerate_multisets(1)  # load the catalog before tracing
+    tracemalloc.start()
+    try:
+        first = next(prover.walk_multisets(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((1,), 1 << 1)
+    assert peak < 5_000_000
+
+
+def test_walk_with_no_fitting_family_yields_nothing(monkeypatch):
+    # family 6 has orbit length 2, so nothing fits a budget of 1
+    six = get_family(6)
+    monkeypatch.setattr(prover, "all_families", lambda: {6: six})
+    assert list(prover.walk_multisets(1)) == []
+    assert list(prover.walk_multisets(2)) == [((6,), 1 << 6)]
 
 
 def test_unverified_fact_of_a_late_type_set_is_caught(monkeypatch):
