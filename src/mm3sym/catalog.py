@@ -33,6 +33,9 @@ LINEAR_SCALING_FAMILIES = frozenset({6, 7, 17, 18, 19, 20, 39, 41})
 # equal cells are one object, which tensor_from_factors multiplies once
 _CELLS = _Memo(parse_polynomial)
 
+# power structure -> the factor each of the tensor's three slots reads
+_SLOTS = {"cube": (0, 0, 0), "square": (0, 0, 1), "triple": (0, 1, 2)}
+
 
 class CatalogError(Exception):
     """A family failed an integrity check."""
@@ -52,46 +55,30 @@ class OrbitFamily(NamedTuple):
     def tensor(self, params=None):
         """Expand into a Tensor.  With params=None the family keeps its
         fresh symbolic parameters; otherwise params is a sequence of
-        scalar values, one per letter."""
-        factors = self.factors
-        scale = self.scale
-        if params is not None:
-            if len(params) != len(self.params):
-                raise CatalogError(
-                    f"family {self.id} takes {len(self.params)} parameters, "
-                    f"got {len(params)}"
-                )
-            assignment = {
-                ParamId(0, letter): Cyclotomic.coerce(v)
-                for letter, v in zip(self.params, params)
-            }
-            # each distinct cell object once, so that equal cells stay one
-            # object and tensor_from_factors multiplies them once; keying
-            # by id is safe since self holds every cell
-            done = {}
-
-            def cell(p):
-                q = done.get(id(p))
-                if q is None:
-                    q = done[id(p)] = p.substitute(assignment)
-                return q
-
-            factors = [tuple(tuple(map(cell, row)) for row in m)
-                       for m in factors]
-            if scale is not None:
-                scale = cell(scale)
-        if self.power == "cube":
-            t = tensor_from_factors(factors[0], factors[0], factors[0])
-        elif self.power == "square":
-            t = tensor_from_factors(factors[0], factors[0], factors[1])
-        else:
-            t = tensor_from_factors(factors[0], factors[1], factors[2])
-        if scale is not None:
-            t = t.scale(scale)
-        return t
+        scalar values, one per letter, substituted into each entry of
+        the symbolic tensor, whose order the entries keep."""
+        if params is not None and len(params) != len(self.params):
+            raise CatalogError(
+                f"family {self.id} takes {len(self.params)} parameters, "
+                f"got {len(params)}"
+            )
+        t = tensor_from_factors(*(self.factors[k] for k in _SLOTS[self.power]))
+        if self.scale is not None:
+            t = t.scale(self.scale)
+        if params is None:
+            return t
+        assignment = dict(zip(self.param_ids(), map(Cyclotomic.coerce, params)))
+        values = ((a, p.substitute(assignment)) for a, p in t.entries.items())
+        return Tensor({a: q for a, q in values if q})
 
     @classmethod
     def from_json(cls, rec):
+        slots = _SLOTS.get(rec["power"])
+        if slots is None or len(rec["factors"]) != max(slots) + 1:
+            raise CatalogError(
+                f"family {rec['id']}: power {rec['power']!r} does not fit "
+                f"its {len(rec['factors'])} factors"
+            )
         factors = tuple(
             tuple(tuple(_CELLS[s] for s in row) for row in m)
             for m in rec["factors"]

@@ -159,11 +159,15 @@ def _cmd_brent(args, out):
     if args.mode == "generic":
         if args.rank is None:
             raise UsageError("--mode generic requires --rank")
+        if args.types is not None:
+            raise UsageError("--types applies only to --mode invariant")
         _require_positive(args.rank, "--rank")
         system = brent.generic_system(args.rank)
     else:
         if args.types is None:
             raise UsageError("--mode invariant requires --types")
+        if args.rank is not None:
+            raise UsageError("--rank applies only to --mode generic")
         try:
             multiset = tuple(int(s) for s in args.types.split(","))
         except ValueError:

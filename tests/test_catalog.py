@@ -1,15 +1,18 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from importlib import resources
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 
 from mm3sym import catalog, group
 from mm3sym.brent import invariant_system
-from mm3sym.poly import ParamId, Polynomial, parse_polynomial
-from mm3sym.tensors import Tensor, pi12
+from mm3sym.cyclotomic import ZETA
+from mm3sym.poly import ParamId, parse_polynomial
+from mm3sym.tensors import pi12
 from mm3sym.catalog import (
     all_families, get_family, matmul_tensor,
     verify_catalog, CatalogError, OrbitFamily,
@@ -118,32 +121,67 @@ def test_products_of_cells_are_shared():
     assert len({id(p) for p in t.entries.values()}) <= 4
 
 
-def test_renamed_and_valued_tensors_share_products(monkeypatch):
-    # tensor(params) rebuilds each distinct cell object once, so it
-    # multiplies no more often than the fresh tensors
-    fams = list(all_families().values())
-    calls = [0]
-    mul = Polynomial.__mul__
+def test_valued_tensor_is_the_substituted_symbolic_tensor():
+    # a point is substituted into each entry of the one symbolic
+    # expansion: the entries that vanish drop out, and the rest keep
+    # their order
+    rng = random.Random(33)
+    values = [0, 0, 1, -1, 2, Fraction(1, 2), ZETA]
+    for fam in all_families().values():
+        w = fam.tensor()
+        n = len(fam.params)
+        points = [[0] * n, [k + 2 for k in range(n)]] + [
+            [rng.choice(values) for _ in range(n)] for _ in range(3)]
+        for point in points:
+            assignment = dict(zip(fam.param_ids(), point))
+            want = [(a, p.substitute(assignment))
+                    for a, p in w.entries.items()]
+            assert list(fam.tensor(point).entries.items()) == [
+                (a, q) for a, q in want if q], (fam.id, point)
 
-    def counted(p, q):
-        calls[0] += 1
-        return mul(p, q)
 
-    def count(build):
-        calls[0] = 0
-        tensors = [build(fam) for fam in fams]
-        return calls[0], tensors
+def test_wrong_parameter_count_is_refused_before_expanding(monkeypatch):
+    def expand(*factors):
+        raise AssertionError("expanded")
 
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    fresh_calls, fresh = count(lambda fam: fam.tensor())
-    values = lambda fam: [k + 2 for k in range(len(fam.params))]
-    param_calls, valued = count(lambda fam: fam.tensor(values(fam)))
-    monkeypatch.undo()
-    assert param_calls <= fresh_calls
-    for fam, w, v in zip(fams, fresh, valued):
-        assignment = dict(zip(fam.param_ids(), values(fam)))
-        assert v == Tensor({a: p.substitute(assignment)
-                            for a, p in w.entries.items()})
+    monkeypatch.setattr(catalog, "tensor_from_factors", expand)
+    for fam in all_families().values():
+        for n in (0, len(fam.params) + 1):
+            with pytest.raises(CatalogError) as exc:
+                fam.tensor([1] * n)
+            assert str(exc.value) == (f"family {fam.id} takes "
+                                      f"{len(fam.params)} parameters, got {n}")
+
+
+@pytest.mark.parametrize("fid, power, message", [
+    (9, "square", "family 9: power 'square' does not fit its 1 factors"),
+    (27, "cube", "family 27: power 'cube' does not fit its 3 factors"),
+    (9, "cubed", "family 9: power 'cubed' does not fit its 1 factors"),
+])
+def test_power_must_fit_the_factors(monkeypatch, fid, power, message):
+    # the packaged catalog with one record's power changed is refused
+    # at load, before any expansion
+    text = resources.files("mm3sym").joinpath("data/catalog.json").read_text()
+    data = json.loads(text)
+    data["families"][fid - 1]["power"] = power
+    patched = json.dumps(data)
+
+    class Packaged:
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return patched
+
+    monkeypatch.setattr(catalog, "resources",
+                        SimpleNamespace(files=lambda package: Packaged()))
+    all_families.cache_clear()
+    try:
+        with pytest.raises(CatalogError) as exc:
+            all_families()
+    finally:
+        all_families.cache_clear()
+    assert str(exc.value) == message
 
 
 def test_family_tensors_digest():

@@ -64,6 +64,24 @@ def test_orbit_sum_symbolic_and_full():
     assert len(t) == 3 + 18 + 6
 
 
+def test_orbit_sum_at_points_digest():
+    # every family with no params and at two fixed points, one of which
+    # sets the first parameter to 0, byte for byte
+    runs = []
+    for fid in range(1, 45):
+        n = len(get_family(fid).params)
+        for params in (None, [str(k + 2) for k in range(n)],
+                       [("0", "-1", "1/2", "3")[k % 4] for k in range(n)]):
+            argv = ["orbit-sum", "--type", str(fid)]
+            if params is not None:
+                argv.append("--params=" + ",".join(params))
+            runs.append(capture(argv))
+    assert {code for code, _ in runs} == {0}
+    digest = hashlib.sha256("".join(t for _, t in runs).encode()).hexdigest()
+    assert digest == (
+        "7a835512c51bda48cd788dcc63e5a7ec200580f21f3da837642979d5b777f2c9")
+
+
 def test_orbit_sum_at_a_degenerate_point():
     # at b = 0 the family 9 tensor is E^(x)3, fixed by every element, so
     # its orbit has one element and the orbit sum is the tensor itself,
@@ -237,6 +255,17 @@ def test_brent_usage_errors(capsys):
         assert (code, text) == (2, ""), types
         err = capsys.readouterr().err
         assert err.startswith("error: usage: --types") and repr(types) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "invariant", "--types", "9,5", "--rank", "3"],
+     "--rank applies only to --mode generic"),
+    (["--mode", "generic", "--rank", "2", "--types", "9"],
+     "--types applies only to --mode invariant"),
+])
+def test_brent_refuses_the_other_modes_flag(capsys, argv, message):
+    assert capture(["brent"] + argv) == (2, "")
+    assert capsys.readouterr().err == f"error: usage: {message}\n"
 
 
 def test_nonpositive_sizes_are_usage_errors(capsys):
