@@ -12,11 +12,14 @@ gamma coordinate.
 import json
 from collections.abc import Sequence
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ZERO, ONE, dot
+from .cyclotomic import Cyclotomic, ZERO, ONE
 from .poly import (
     Polynomial, BrentVar, ParamId, var_from_str, add_into, _KEYS, _NAMES,
+    _Memo,
 )
 from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
@@ -164,24 +167,23 @@ def check_solution(system, assignment):
 
     Returns (ok, failing labels).  The assignment maps variable names
     (or variable objects) to scalars; every system variable must be
-    assigned.  A generic system built by generic_system is checked from
-    its coordinate columns; any other one by substituting the values
-    into each left side, which must then be the constant on the right.
-    """
+    assigned, and none twice (as "x1_11" and "x01_11").  A generic
+    system built by generic_system is checked from its coordinate
+    columns; any other one by substituting the values into each left
+    side, which must then be the constant on the right."""
     # the system's own names are looked up; only other names are parsed
-    named = {str(v): v for v in system.variables}
-    values = {}
+    named = dict(zip(_names(system), system.variables))
+    values, spelled = {}, {}
     for k, v in assignment.items():
-        var = k
-        if isinstance(k, str):
-            var = named.get(k) or var_from_str(k)
-        v = Cyclotomic.coerce(v)
-        values[var] = v if v else ZERO
+        var = named.get(k) or var_from_str(k) if isinstance(k, str) else k
+        if spelled.setdefault(var, k) is not k:
+            raise BrentError(f"variable {var} is assigned twice, "
+                             f"as {spelled[var]!r} and as {k!r}")
+        values[var] = Cyclotomic.coerce(v)
     missing = [v for v in system.variables if v not in values]
     if missing:
         raise BrentError(
-            f"assignment misses {len(missing)} variables, first {missing[0]}"
-        )
+            f"assignment misses {len(missing)} variables, first {missing[0]}")
     if isinstance(system.equations, _GenericEquations):
         failing = _failing_columns(system.variables, values)
         return not failing, failing
@@ -197,21 +199,43 @@ def check_solution(system, assignment):
 
 
 def _failing_columns(variables, values):
-    """The failing labels of a generic system.  Per cell pair (a, b),
-    the heads x_t[a]*y_t[b] that are not ZERO are made once, and each
-    equation (a, b, c) is one dot() of them with the z column at c.
-    Q(zeta_12) is a field, so a head is 0 exactly when one of its
-    factors is the ZERO object."""
-    failing = []
-    ab = None
+    """The failing labels of a generic system, on packed ints.  With D
+    the lcm of the values' coordinate denominators and M the largest
+    |D*c| (or 1), each distinct value is packed once as the int
+    sum_k (D*c_k) * 2^(s*k).  A sum over the rank terms of products of
+    three packs is the polynomial in w of degree <= 9 they make; at most
+    12 triples (i, j, k) in {0..3}^3 share a degree, so each coefficient
+    is at most 12*rank*M^3 in size, and 2^(s-1) > 12*rank*M^3 keeps each
+    one in its balanced base-2^s digit.  The heads x_t[a]*y_t[b] of a
+    cell pair (a, b) are made once; each equation (a, b, c) is one
+    C-level sum of them times its z column, whose 10 digits, reduced by
+    w^k = w^(k-2) - w^(k-4), must be (D^3*rhs, 0, 0, 0)."""
+    cols = [values[v].coords for v in variables]
+    den = lcm(*(c.denominator for cs in cols for c in cs))
+    scaled = {cs: [den // c.denominator * c.numerator for c in cs]
+              for cs in set(cols)}
+    m = max(1, *(abs(c) for cs in scaled.values() for c in cs))
+    s = (12 * (len(variables) // 27) * m ** 3).bit_length() + 1
+    packed = {cs: sum(c << s * k for k, c in enumerate(dcs))
+              for cs, dcs in scaled.items()}
+    # each digit is read with half added, as a plain bit field, so the
+    # reduced coordinates carry -half, -half, half and half
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    offset = sum(half << s * k for k in range(10))
+    shifts = range(0, 10 * s, s)
+    want = {ONE: den ** 3 - half, ZERO: -half}
+    failing, ab = [], None
     for label, xs, ys, zs, rhs in _generic_columns(
-            [values[v] for v in variables]):
+            [packed[cs] for cs in cols]):
         if label[:2] != ab:
             ab = label[:2]
-            kept = [t for t, (x, y) in enumerate(zip(xs, ys))
-                    if x is not ZERO and y is not ZERO]
-            heads = [xs[t] * ys[t] for t in kept]
-        if dot(heads, [zs[t] for t in kept]) != rhs:
+            heads = list(map(mul, xs, ys))
+        n = sum(map(mul, heads, zs), offset)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8, d9 = [n >> k & mask
+                                                  for k in shifts]
+        # w^4, ..., w^9 = w^2 - 1, w^3 - w, -1, -w, -w^2, -w^3
+        if (d0 - d4 - d6, d1 - d5 - d7, d2 + d4 - d8,
+                d3 + d5 - d9) != (want[rhs], -half, half, half):
             failing.append(label)
     return failing
 
@@ -228,35 +252,58 @@ def trivial_solution():
 
 # -- serialization ---------------------------------------------------
 
-def _label_to_json(label):
-    if isinstance(label, int):
-        return label
-    return [list(p) for p in label]
+def _names(system):
+    """The variables' names, one shared string per variable."""
+    return list(map(_NAMES.__getitem__, system.variables))
 
 
 def _rows(system):
-    """(label, printed lhs, rhs) per equation.  A generic system built by
-    generic_system is not built for it: each lhs, a sum of x*y*z terms
-    already in print order, is joined from the coordinate names."""
+    """(label, printed lhs, printed rhs) per equation.  A generic system
+    built by generic_system is not built for it: each lhs, a sum of
+    x*y*z terms in print order, is joined from the coordinate names."""
+    rhs_text = _Memo(str)
     if not isinstance(system.equations, _GenericEquations):
-        return [(eq.label, str(eq.lhs), eq.rhs) for eq in system.equations]
-    names = [str(v) for v in system.variables]
-    return [(label, " + ".join(map("*".join, zip(xs, ys, zs))), rhs)
-            for label, xs, ys, zs, rhs in _generic_columns(names)]
+        return [(eq.label, str(eq.lhs), rhs_text[eq.rhs])
+                for eq in system.equations]
+    return [(label, " + ".join(map("*".join, zip(xs, ys, zs))), rhs_text[rhs])
+            for label, xs, ys, zs, rhs in _generic_columns(_names(system))]
+
+
+def _head(system):
+    if system.mode == "generic":
+        return {"mode": system.mode, "rank": system.rank}
+    return {"mode": system.mode, "multiset": list(system.multiset)}
 
 
 def to_json(system):
-    rec = {"mode": system.mode}
-    if system.mode == "generic":
-        rec["rank"] = system.rank
-    else:
-        rec["multiset"] = list(system.multiset)
-    rec["variables"] = [str(v) for v in system.variables]
-    rec["equations"] = [
-        {"label": _label_to_json(label), "lhs": lhs, "rhs": str(rhs)}
-        for label, lhs, rhs in _rows(system)
-    ]
-    return rec
+    return {**_head(system), "variables": _names(system), "equations": [
+        {"label": label if isinstance(label, int) else list(map(list, label)),
+         "lhs": lhs, "rhs": rhs}
+        for label, lhs, rhs in _rows(system)]}
+
+
+def _json_list(items, indent):
+    """Encoded items as json.dumps(..., indent=1) writes a list whose
+    items sit at this indent."""
+    pad = "\n" + " " * indent
+    return f"[{pad}{(',' + pad).join(items)}{pad[:-1]}]" if items else "[]"
+
+
+def _json_text(system):
+    """json.dumps(to_json(system), indent=1) + "\n", byte for byte.  With
+    indent set, the stdlib encodes in pure Python, so only the scalar
+    head goes through it; the names and equations are written from
+    their C-encoded strings, and each label from its pairs' texts."""
+    enc = json.dumps
+    pairs = _Memo(lambda p: _json_list(list(map(str, p)), 5))
+    equations = [
+        '{\n   "label": ' + (str(label) if isinstance(label, int) else
+                           _json_list([pairs[p] for p in label], 4))
+        + f',\n   "lhs": {enc(lhs)},\n   "rhs": {enc(rhs)}\n  }}'
+        for label, lhs, rhs in _rows(system)]
+    return (json.dumps(_head(system), indent=1)[:-2]
+            + ',\n "variables": ' + _json_list([*map(enc, _names(system))], 2)
+            + ',\n "equations": ' + _json_list(equations, 2) + "\n}\n")
 
 
 def parse_system(rec):
@@ -352,7 +399,7 @@ def export(system, fmt):
     grammar), or m2 (a polynomial-ring script for external
     computer-algebra solvers)."""
     if fmt == "json":
-        return json.dumps(to_json(system), indent=1) + "\n"
+        return _json_text(system)
     if fmt == "text":
         lines = [f"{lhs} = {rhs}" for _, lhs, rhs in _rows(system)]
         return "\n".join(lines) + "\n"

@@ -8,10 +8,9 @@ the toolkit lives in a single canonical representation.
 """
 
 from fractions import Fraction
-from operator import mul
 
 __all__ = [
-    "Cyclotomic", "ZERO", "ONE", "ZETA", "ZETA_BAR", "IMAG", "ROOT12", "dot",
+    "Cyclotomic", "ZERO", "ONE", "ZETA", "ZETA_BAR", "IMAG", "ROOT12",
 ]
 
 
@@ -205,28 +204,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.coords})"
-
-
-def dot(xs, ys):
-    """sum(x * y for x, y in zip(xs, ys)) for two lists of Cyclotomic of
-    one length, reduced once: each of the 16 coordinate products is
-    summed over all pairs at C level, and the sums are reduced by
-    w^4 = w^2 - 1 as in __mul__.  Empty lists give ZERO."""
-    if not xs:
-        return ZERO
-    a0, a1, a2, a3 = zip(*[x.coords for x in xs])
-    b0, b1, b2, b3 = zip(*[y.coords for y in ys])
-
-    def s(u, v):
-        return sum(map(mul, u, v))
-    p4 = s(a1, b3) + s(a2, b2) + s(a3, b1)
-    p5 = s(a2, b3) + s(a3, b2)
-    return _make(
-        s(a0, b0) - p4 - s(a3, b3),
-        s(a0, b1) + s(a1, b0) - p5,
-        s(a0, b2) + s(a1, b1) + s(a2, b0) + p4,
-        s(a0, b3) + s(a1, b2) + s(a2, b1) + s(a3, b0) + p5,
-    )
 
 
 ZERO = Cyclotomic()

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -161,6 +162,49 @@ def test_check_solution_matches_substitution():
                 assert got == _substituted_check(s, a), (s, name)
 
 
+def test_packed_check_matches_substitution():
+    # the generic check packs each value into one int; substitution does
+    # exact field arithmetic: values on all four coordinates, large
+    # magnitudes, large denominators and about 30 % zeros
+    rng = random.Random(131)
+    coords = {
+        "small": lambda: rng.randint(-3, 3),
+        "large": lambda: rng.randint(-10**15, 10**15),
+        "fraction": lambda: Fraction(rng.randint(-10**6, 10**6),
+                                     rng.randint(1, 1000003)),
+    }
+    for r in (1, 2, 3):
+        s = brent.generic_system(r)
+        for coord in coords.values():
+            for cancel in (False, True):
+                a = {v: 0 if rng.random() < 0.3
+                     else Cyclotomic([coord() for _ in range(4)])
+                     for v in s.variables}
+                if cancel and r > 1:
+                    # term 2 is term 1 times (u, 1, -1/u): the two cancel
+                    # in the field, not coordinate by coordinate
+                    u = Cyclotomic([coord() or 1 for _ in range(4)])
+                    for v in s.variables[:27]:
+                        a[v._replace(term=2)] = a[v] * (
+                            u, 1, -u.inv())[v.factor]
+                assert brent.check_solution(s, a) == _substituted_check(s, a)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_check_at_the_digit_bound(rank):
+    # with every value M*(1 + w + w^2 + w^3), 12 triples meet at degree
+    # 4 and at degree 5, so those coefficients are exactly 12*rank*M^3,
+    # the bound the digit width is chosen for
+    s = brent.generic_system(rank)
+    for m in (1, 7, 2**20, 10**5 + 3):
+        a = dict.fromkeys(s.variables, Cyclotomic((m, m, m, m)))
+        assert brent.check_solution(s, a) == _substituted_check(s, a)
+        for step in (1, -1):
+            moved = {**a, s.variables[5]: Cyclotomic((m, m, m + step, m))}
+            assert (brent.check_solution(s, moved)
+                    == _substituted_check(s, moved))
+
+
 def _dense_solution():
     """The trivial rank-27 solution moved by (x, y, z) ->
     (A x B^-1, B y C^-1, C z A^-1), which fixes the target.  A, B and C
@@ -224,13 +268,28 @@ def test_dense_solution_and_products(monkeypatch):
     # (3, 1) breaks
     assert failing == [eq.label for eq in s.equations if eq.label[2] == (3, 1)]
     assert len(failing) == 81
-    # one product per head x_t[a]*y_t[b]; the equations are dot products
+    # the values are packed into ints, so no Cyclotomic is multiplied
     calls = []
     mul = Cyclotomic.__mul__
     monkeypatch.setattr(Cyclotomic, "__mul__",
                         lambda x, y: calls.append(1) or mul(x, y))
     brent.check_solution(s, sol)
-    assert len(calls) <= 81 * 27
+    assert len(calls) == 0
+
+
+def test_dense_solution_scaled_by_a_non_rational_unit():
+    # x_t*y_t*z_t is unchanged when x is scaled by u and y by 1/u; the
+    # coordinates of 1/u have denominator 13
+    u = Cyclotomic((2, 1, 0, -1))
+    scale = (u, u.inv(), ONE)
+    assert all(type(c) is Fraction for c in scale[1].coords)
+    sol = {v: scale[v.factor] * x for v, x in _dense_solution().items()}
+    s = brent.generic_system(27)
+    assert brent.check_solution(s, sol) == (True, [])
+    sol[BrentVar(0, 4, 2, 3)] += 1
+    ok, failing = brent.check_solution(s, sol)
+    assert (ok, failing) == _substituted_check(s, sol)
+    assert failing == [eq.label for eq in s.equations if eq.label[0] == (2, 3)]
 
 
 def _perturbed_dense_solution():
@@ -373,6 +432,24 @@ def test_check_solution_parses_only_names_outside_the_system(monkeypatch):
     assert parsed == ["x03_11", "b2"]
     with pytest.raises(PolyParseError):
         brent.check_solution(s, {**by_name, "q1_11": 0})
+
+
+def test_a_variable_assigned_twice_is_an_error():
+    # x01_11 is x1_11, and a variable object is its name: either key
+    # order would give one coordinate two values
+    sol = {str(v): x for v, x in brent.trivial_solution().items()}
+    x = BrentVar(0, 1, 1, 1)
+    s = brent.generic_system(27)
+    for twice, first, second in (({**sol, "x01_11": 0}, "'x1_11'", "'x01_11'"),
+                                 ({"x01_11": 0, **sol}, "'x01_11'", "'x1_11'"),
+                                 ({**sol, x: 1}, "'x1_11'", repr(x))):
+        with pytest.raises(brent.BrentError, match=re.escape(
+                f"variable x1_11 is assigned twice, as {first} and as {second}")):
+            brent.check_solution(s, twice)
+    # the substitution route refuses it too
+    s = brent.invariant_system((7,))
+    with pytest.raises(brent.BrentError, match="a1 is assigned twice"):
+        brent.check_solution(s, {"a1": 1, "a01": 0})
 
 
 def test_missing_variable_error():
@@ -604,6 +681,17 @@ def test_generic_lhs_texts_match_the_polynomial_printer(rank):
     lines = brent.export(s, "text").splitlines()
     assert lines == [f"{lhs} = {eq.rhs}" for lhs, eq in zip(want, s.equations)]
     assert len(want[0].split(" + ")) == rank
+
+
+def test_json_export_is_the_indented_dump():
+    # the json export writes the equations itself; it must be the
+    # stdlib's indent=1 dump of to_json, byte for byte
+    systems = [brent.generic_system(r) for r in (1, 2, 27)] + [
+        brent.invariant_system(m)
+        for m in enumerate_multisets(23)[::97] + [(5, 38, 44)]]
+    for s in systems:
+        assert brent.export(s, "json") == json.dumps(
+            brent.to_json(s), indent=1) + "\n", s
 
 
 def test_text_export():

@@ -382,6 +382,23 @@ def test_check_solution_bad_header(tmp_path):
     assert code == 1
 
 
+def test_check_solution_variable_assigned_twice(tmp_path, capsys):
+    # x01_11 names x1_11 again: in either key order the verdict would
+    # depend on which value came last, so there is none
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(brent.export(brent.generic_system(27), "json"))
+    sol = {str(k): str(v) for k, v in brent.trivial_solution().items()}
+    sol_path = tmp_path / "sol.json"
+    for rec in ({**sol, "x01_11": "0"}, {"x01_11": "0", **sol}):
+        sol_path.write_text(json.dumps(rec))
+        code, text = capture(["check-solution", "--system", str(sys_path),
+                              "--assignment", str(sol_path)])
+        assert (code, text) == (3, "")
+        err = capsys.readouterr().err
+        assert "x1_11 is assigned twice" in err
+        assert "'x1_11'" in err and "'x01_11'" in err
+
+
 def test_act(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(matmul_tensor().dumps())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mm3sym.cyclotomic import (
-    Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12, dot,
+    Cyclotomic, ZERO, ONE, ZETA, ZETA_BAR, IMAG, ROOT12,
 )
 from mm3sym.poly import parse_cyclotomic
 
@@ -113,31 +113,6 @@ def test_pow_products(monkeypatch):
         calls.clear()
         x ** n
         assert len(calls) == products, n
-
-
-def test_dot_matches_sum_of_products():
-    rng = random.Random(29)
-
-    def rand_int_cyc():
-        return Cyclotomic([rng.randint(-9, 9) for _ in range(4)])
-
-    assert dot([], []) is ZERO
-    for make in (rand_int_cyc, lambda: rand_cyc(rng)):
-        for n in (1, 2, 3, 8, 40):
-            xs = [make() for _ in range(n)]
-            ys = [make() for _ in range(n)]
-            # zeros among the pairs, both as the ZERO object and built
-            for k in rng.sample(range(n), n // 3):
-                xs[k] = rng.choice((ZERO, Cyclotomic()))
-            want = sum((x * y for x, y in zip(xs, ys)), ZERO)
-            got = dot(xs, ys)
-            assert got == want
-            assert_canonical(got)
-    # integer coordinates stay ints, an exact sum of Fractions is exact
-    assert type(dot([IMAG * 3], [ZETA]).coords[0]) is int
-    half = Cyclotomic.rational(1, 2)
-    assert dot([half, half], [ONE, ONE]) == ONE
-    assert dot([half], [IMAG]).coords == (0, 0, 0, Fraction(1, 2))
 
 
 def test_printing():
