@@ -14,7 +14,9 @@ import sys
 from .poly import _Memo, parse_cyclotomic
 from .tensors import Tensor
 from . import group
-from .invariants import compute_classes, gamma_to_tensor, orbit_sum
+from .invariants import (
+    CLASS_REPRESENTATIVES, compute_classes, gamma_to_tensor, orbit_sum,
+)
 from .catalog import get_family, CatalogError
 from . import prover
 from . import brent
@@ -49,6 +51,17 @@ def _read(path):
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that occurs twice, whose
+    value json.loads would otherwise take from the last occurrence."""
+    rec = {}
+    for k, v in pairs:
+        if k in rec:
+            raise ValueError(f"JSON object repeats the key {k!r}")
+        rec[k] = v
+    return rec
 
 
 def _write(path, data, out):
@@ -141,10 +154,11 @@ def _cmd_orbit_sum(args, out):
 
 
 def _cmd_classes(args, out):
-    for cls in compute_classes():
-        (i1, j1), (i2, j2), (i3, j3) = cls.representative
-        rep = f"e({i1}{j1},{i2}{j2},{i3}{j3})"
-        out.write(f"Q{cls.id}: size {len(cls)}, representative {rep}\n")
+    for cid, (cls, rep) in enumerate(
+            zip(compute_classes(), CLASS_REPRESENTATIVES), start=1):
+        (i1, j1), (i2, j2), (i3, j3) = rep
+        out.write(f"Q{cid}: size {len(cls)}, "
+                  f"representative e({i1}{j1},{i2}{j2},{i3}{j3})\n")
     return 0
 
 
@@ -180,7 +194,7 @@ def _cmd_brent(args, out):
 
 def _cmd_check_solution(args, out):
     system = brent.parse_system(_read(args.system))
-    rec = json.loads(_read(args.assignment))
+    rec = json.loads(_read(args.assignment), object_pairs_hook=_unique_keys)
     if not isinstance(rec, dict):
         raise ValueError("assignment JSON must be an object")
     # solutions repeat a few values, so each distinct text is parsed once

@@ -15,7 +15,7 @@ from .tensors import INDICES, POSITION, Tensor, index_is_even, tensor_sum
 from . import group
 
 __all__ = [
-    "OrbitClass", "GammaVector", "ClassTableError", "compute_classes",
+    "GammaVector", "ClassTableError", "compute_classes",
     "CLASS_SIZES", "CLASS_REPRESENTATIVES",
     "r_sum", "project", "orbit_sum", "gamma_to_tensor", "reynolds",
 ]
@@ -42,39 +42,24 @@ class ClassTableError(Exception):
     """The computed classes disagree with the expected table."""
 
 
-class OrbitClass:
-    __slots__ = ("id", "members", "representative")
-
-    def __init__(self, cid, members, representative):
-        self.id = cid
-        self.members = frozenset(members)
-        self.representative = representative
-
-    def __len__(self):
-        return len(self.members)
-
-    def __repr__(self):
-        return f"<Q{self.id}: {len(self.members)} indices>"
-
-
 @lru_cache(maxsize=None)
 def compute_classes():
     """The orbits of G on the even indices, signs ignored (the action
-    factors through S3 x S3): class Q_i is the position orbit of the
-    i-th fixed representative.  The classes must have the expected
-    sizes and partition the even indices."""
+    factors through S3 x S3), as frozensets: class Q_i, at place i - 1,
+    is the position orbit of the i-th fixed representative.  The classes
+    must have the expected sizes and partition the even indices."""
     orbit_of, orbits = group._position_orbits()
     classes = []
     covered = set()
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        orbit = {INDICES[n] for n in orbits[orbit_of[POSITION[rep]]]}
+        orbit = frozenset(INDICES[n] for n in orbits[orbit_of[POSITION[rep]]])
         if len(orbit) != CLASS_SIZES[cid - 1]:
             raise ClassTableError(f"class Q{cid} has {len(orbit)} indices, "
                                   f"expected {CLASS_SIZES[cid - 1]}")
         if orbit & covered:
             raise ClassTableError(f"class Q{cid} meets an earlier class")
         covered |= orbit
-        classes.append(OrbitClass(cid, orbit, rep))
+        classes.append(orbit)
     even = set(filter(index_is_even, INDICES))
     if covered != even:
         raise ClassTableError(f"the classes cover {len(covered)} indices, "
@@ -84,11 +69,8 @@ def compute_classes():
 
 @lru_cache(maxsize=None)
 def _class_lookup():
-    table = {}
-    for cls in compute_classes():
-        for a in cls.members:
-            table[a] = cls.id
-    return table
+    return {a: cid for cid, cls in enumerate(compute_classes(), start=1)
+            for a in cls}
 
 
 class GammaVector:
@@ -152,9 +134,8 @@ def _coord_str(i, p):
 
 def r_sum(w, i):
     """Sum of the coefficients of w over the indices of class Q_i."""
-    cls = compute_classes()[i - 1]
     terms = {}
-    for alpha in cls.members:
+    for alpha in compute_classes()[i - 1]:
         p = w.entries.get(alpha)
         if p is not None:
             add_into(terms, p.terms.items())
@@ -185,12 +166,9 @@ def orbit_sum(w, length):
 
 def gamma_to_tensor(v):
     entries = {}
-    for cls in compute_classes():
-        p = v[cls.id]
-        if not p:
-            continue
-        for alpha in cls.members:
-            entries[alpha] = p
+    for cls, p in zip(compute_classes(), v.coords):
+        if p:
+            entries.update(dict.fromkeys(cls, p))
     return Tensor(entries)
 
 

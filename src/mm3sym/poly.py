@@ -70,18 +70,10 @@ _NAMES = _Memo(str)
 
 
 def _print_key(item):
-    """Print-order key of a (monomial, coefficient) item: the flat list
-    [-deg, key(v1), -e1, key(v2), -e2, ...], which compares as
-    (-deg, [(key(v1), -e1), ...]) does, higher degree first."""
-    keys = _KEYS
-    out = [0]
-    deg = 0
-    for v, e in item[0]:
-        out.append(keys[v])
-        out.append(-e)
-        deg -= e
-    out[0] = deg
-    return out
+    """Print-order key of a (monomial, coefficient) item:
+    (-deg, [(key(v1), -e1), ...]), higher degree first."""
+    m = item[0]
+    return -sum(e for _, e in m), [(_KEYS[v], -e) for v, e in m]
 
 
 def _item_key(pair):
@@ -220,9 +212,6 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     # -- printing ----------------------------------------------------
 
     def __str__(self):
@@ -271,8 +260,6 @@ def _term_str(m, c):
     read from the coefficient's coordinates in {1, z, i, i*z}; one with
     more than one nonzero coordinate is a sum and keeps its own signs,
     in parentheses."""
-    if m and c == ONE:
-        return _mono_str(m), False
     nonzero = [x for x in c.qbasis() if x != 0]
     if len(nonzero) > 1:
         return (f"({c})*{_mono_str(m)}" if m else f"({c})"), False

@@ -17,6 +17,7 @@ from .poly import Polynomial, ParamId, parse_polynomial
 from .tensors import Tensor, pi12
 from .invariants import GammaVector, project, orbit_sum, gamma_to_tensor
 from .catalog import all_families, get_family, matmul_tensor
+from .group import S3_ELEMENTS, perm_sign
 
 __all__ = [
     "ProofError", "EliminationCertificate",
@@ -202,12 +203,11 @@ def check_replacement():
     for name, (got, want) in expect.items():
         _require(got == want, "replacement.vector", f"{name} = {got}")
         facts[f"replacement.vector.{name}"] = f"{name} = {want}"
-    # the three vectors span <g1, g2, g6>: 3x3 determinant over Q
+    # the three vectors span <g1, g2, g6>: 3x3 Leibniz determinant over Q
     m = [[v[i].constant_value().as_fraction() for i in (1, 2, 6)]
-         for v, _ in (expect["sigma'"], expect["sigma''"], expect["sigma'''"])]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+         for v, _ in expect.values()]
+    det = sum(perm_sign(p) * m[0][p[0] - 1] * m[1][p[1] - 1] * m[2][p[2] - 1]
+              for p in S3_ELEMENTS)
     _require(det != 0, "replacement.det", f"det = {det}")
     facts["replacement.det"] = f"span determinant of (sigma', sigma'', sigma''') = {det}"
     # replacement budget: the three orbits have 1 + 2 + 3 = 6 tensors

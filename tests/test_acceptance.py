@@ -48,7 +48,7 @@ def test_criterion_1_class_table():
     assert tuple(len(c) for c in classes) == (3, 18, 18, 36, 18, 6,
                                               18, 18, 6, 18, 18, 6)
     for cid, rep in enumerate(CLASS_REPRESENTATIVES, start=1):
-        assert rep in classes[cid - 1].members
+        assert rep in classes[cid - 1]
     assert sum(1 for a in INDICES if index_is_even(a)) == 183
 
 

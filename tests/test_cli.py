@@ -107,6 +107,9 @@ def test_classes_output():
     assert len(lines) == 12
     assert lines[0] == "Q1: size 3, representative e(11,11,11)"
     assert lines[8] == "Q9: size 6, representative e(12,23,31)"
+    # the whole output, byte for byte
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fd3c7761bed79edf3a58e0c04e04e3eaa2c2aeab5f0d0e8b10bd7097a93bc22d")
 
 
 def test_verify_text_and_exit_code():
@@ -397,6 +400,23 @@ def test_check_solution_variable_assigned_twice(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "x1_11 is assigned twice" in err
         assert "'x1_11'" in err and "'x01_11'" in err
+
+
+def test_check_solution_repeated_key(tmp_path, capsys):
+    # json.loads keeps the last copy of a key, so without the check the
+    # verdict would follow the key order: FAILS with the copy after the
+    # real key, OK with it before
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(brent.export(brent.generic_system(27), "json"))
+    sol = json.dumps({str(k): str(v)
+                      for k, v in brent.trivial_solution().items()})
+    sol_path = tmp_path / "sol.json"
+    for text in (sol[:-1] + ', "x1_11": "0"}', '{"x1_11": "0", ' + sol[1:]):
+        sol_path.write_text(text)
+        code, out = capture(["check-solution", "--system", str(sys_path),
+                             "--assignment", str(sol_path)])
+        assert (code, out) == (3, "")
+        assert "repeats the key 'x1_11'" in capsys.readouterr().err
 
 
 def test_act(tmp_path):

@@ -27,12 +27,12 @@ def test_class_table():
     assert tuple(len(c) for c in classes) == CLASS_SIZES
     assert sum(CLASS_SIZES) == 183
     for cls, rep in zip(classes, CLASS_REPRESENTATIVES):
-        assert rep in cls.members
+        assert rep in cls
     # the classes partition the even indices
     union = set()
     for cls in classes:
-        assert not (union & cls.members)
-        union |= cls.members
+        assert not (union & cls)
+        union |= cls
     assert len(union) == 183
 
 
@@ -42,12 +42,28 @@ def test_classes_are_group_stable():
     for g in group.enumerate_group("G"):
         for cls in compute_classes():
             images = set()
-            for alpha in cls.members:
+            for alpha in cls:
                 unit = Tensor({alpha: Polynomial.constant(1)})
                 (beta, c), = group.act_on_tensor(g, unit).entries.items()
                 assert c == Polynomial.constant(1)
                 images.add(beta)
-            assert images == cls.members
+            assert images == cls
+
+
+@pytest.mark.parametrize("which", ["G", "G1"])
+def test_invariant_space_has_dimension_12(which):
+    # Burnside: dim V^H is the mean over h in H of the trace of h, and h
+    # acts on each basis tensor by a signed permutation, so its trace is
+    # the sum of its signs at the positions it fixes.  With the 12
+    # disjoint, invariant class sums this makes gamma_1..gamma_12 a
+    # basis of the whole invariant space, for G and G1 alike.
+    elements = group.enumerate_group(which)
+    trace = 0
+    for h in elements:
+        moves = group._position_table(h.perm, h.bperm)
+        signs = group._sign_vector(h.signs)
+        trace += sum(signs[n] for n in range(729) if moves[n] == n)
+    assert trace == 12 * len(elements)
 
 
 @pytest.mark.parametrize("name, table, message", [
