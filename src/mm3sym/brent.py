@@ -10,7 +10,6 @@ gamma coordinate.
 """
 
 import json
-from collections.abc import Sequence
 from itertools import product
 from math import lcm
 from operator import mul
@@ -23,11 +22,12 @@ from .poly import (
 )
 from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
-from .tensors import PAIRS, _ints_only
+from .tensors import PAIRS, _ints_only, _unique_keys
 
 __all__ = [
     "BrentSystem", "BrentError", "generic_system", "invariant_system",
-    "check_solution", "trivial_solution", "export", "parse_system",
+    "equations", "check_solution", "trivial_solution", "export",
+    "parse_system",
 ]
 
 
@@ -49,78 +49,42 @@ class Equation(NamedTuple):
 class BrentSystem(NamedTuple):
     mode: str                 # "generic" | "invariant"
     variables: tuple
-    equations: Sequence       # tuple, or _GenericEquations
+    equations: tuple = None   # invariant systems; see equations(system)
     rank: int = None          # generic systems
     multiset: tuple = None    # invariant systems
 
     def __repr__(self):
         tag = self.rank if self.mode == "generic" else list(self.multiset)
-        return (f"<BrentSystem {self.mode} {tag}: "
-                f"{len(self.equations)} equations, "
+        count = 729 if self.mode == "generic" else len(self.equations)
+        return (f"<BrentSystem {self.mode} {tag}: {count} equations, "
                 f"{len(self.variables)} variables>")
 
 
 def generic_system(rank):
     """729 equations stating that rank many rank-one tensors sum to
-    the matrix multiplication tensor.  The equations are built on first
-    access to them; export, parse_system and check_solution read only
-    the rank and the coordinate columns."""
+    the matrix multiplication tensor.  They follow from the rank, so
+    the system holds none: equations(system) builds them, and export,
+    parse_system and check_solution read the coordinate columns."""
     if rank < 1:
         raise BrentError("rank must be >= 1")
     # the 27*rank coordinates in export order: term by term, and within
     # a term factor by factor, cell by cell
     variables = tuple(BrentVar(f, t, i, k) for t in range(1, rank + 1)
                       for f in range(3) for i, k in PAIRS)
-    return BrentSystem("generic", variables, _GenericEquations(variables),
-                       rank=rank)
+    return BrentSystem("generic", variables, rank=rank)
 
 
-class _GenericEquations(Sequence):
-    """The equations of the generic system over these variables, built
-    by _generic_equations on first access to them and kept.  Its length
-    needs no build, and two of them are equal when their ranks are; next
-    to a tuple it is the tuple of its equations."""
-
-    __slots__ = ("variables", "_built")
-
-    def __init__(self, variables):
-        self.variables = variables
-        self._built = None
-
-    def _equations(self):
-        if self._built is None:
-            self._built = _generic_equations(self.variables)
-        return self._built
-
-    def __len__(self):
-        # one equation per basis index, built or not
-        return 729 if self._built is None else len(self._built)
-
-    def __getitem__(self, i):
-        return self._equations()[i]
-
-    def __iter__(self):
-        return iter(self._equations())
-
-    def __eq__(self, other):
-        if isinstance(other, _GenericEquations):
-            return len(self.variables) == len(other.variables)
-        if isinstance(other, tuple):
-            return self._equations() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._equations())
-
-
-def _generic_equations(variables):
-    """The 729 equations of the generic system over the variables."""
+def equations(system):
+    """The system's equations: an invariant system's own, or the 729 of
+    a generic system, built anew from its columns on each call."""
+    if system.mode != "generic":
+        return system.equations
     # one (variable, 1) factor per coordinate, shared by its monomials,
     # each already sorted as x < y < z in variable order
     return tuple(
         Equation(label, Polynomial(dict.fromkeys(zip(xs, ys, zs), ONE)), rhs)
         for label, xs, ys, zs, rhs in _generic_columns(
-            [(v, 1) for v in variables]))
+            [(v, 1) for v in system.variables]))
 
 
 def _generic_columns(coords):
@@ -168,9 +132,9 @@ def check_solution(system, assignment):
     Returns (ok, failing labels).  The assignment maps variable names
     (or variable objects) to scalars; every system variable must be
     assigned, and none twice (as "x1_11" and "x01_11").  A generic
-    system built by generic_system is checked from its coordinate
-    columns; any other one by substituting the values into each left
-    side, which must then be the constant on the right."""
+    system is checked from its coordinate columns, an invariant one by
+    substituting the values into each left side, which must then be the
+    constant on the right."""
     # the system's own names are looked up; only other names are parsed
     named = dict(zip(_names(system), system.variables))
     values, spelled = {}, {}
@@ -184,7 +148,7 @@ def check_solution(system, assignment):
     if missing:
         raise BrentError(
             f"assignment misses {len(missing)} variables, first {missing[0]}")
-    if isinstance(system.equations, _GenericEquations):
+    if system.mode == "generic":
         failing = _failing_columns(system.variables, values)
         return not failing, failing
     failing = []
@@ -258,11 +222,11 @@ def _names(system):
 
 
 def _rows(system):
-    """(label, printed lhs, printed rhs) per equation.  A generic system
-    built by generic_system is not built for it: each lhs, a sum of
-    x*y*z terms in print order, is joined from the coordinate names."""
+    """(label, printed lhs, printed rhs) per equation.  A generic system's
+    equations are not built for it: each lhs, a sum of x*y*z terms in
+    print order, is joined from the coordinate names."""
     rhs_text = _Memo(str)
-    if not isinstance(system.equations, _GenericEquations):
+    if system.mode != "generic":
         return [(eq.label, str(eq.lhs), rhs_text[eq.rhs])
                 for eq in system.equations]
     return [(label, " + ".join(map("*".join, zip(xs, ys, zs))), rhs_text[rhs])
@@ -310,9 +274,10 @@ def parse_system(rec):
     """The system a record's header names: the generic system of its
     rank or the invariant system of its multiset.  The record must be
     that system's export: its variables and equations are those of
-    to_json(system), with every label made of ints."""
+    to_json(system), with every label made of ints, and a JSON text
+    may repeat no key."""
     if isinstance(rec, (str, bytes)):
-        rec = json.loads(rec)
+        rec = json.loads(rec, object_pairs_hook=_unique_keys)
     try:
         mode = rec["mode"]
         if mode == "generic":
@@ -412,7 +377,7 @@ def export(system, fmt):
             "I = ideal(",
         ]
         body = []
-        for eq in system.equations:
+        for eq in equations(system):
             lhs = _m2_poly(eq.lhs)
             rhs = _wbasis(eq.rhs)
             body.append(f"  ({lhs}) - ({rhs})")

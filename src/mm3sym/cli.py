@@ -12,7 +12,7 @@ import json
 import sys
 
 from .poly import _Memo, parse_cyclotomic
-from .tensors import Tensor
+from .tensors import Tensor, _unique_keys
 from . import group
 from .invariants import (
     CLASS_REPRESENTATIVES, compute_classes, gamma_to_tensor, orbit_sum,
@@ -51,17 +51,6 @@ def _read(path):
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
-
-
-def _unique_keys(pairs):
-    """A JSON object as a dict, refusing a key that occurs twice, whose
-    value json.loads would otherwise take from the last occurrence."""
-    rec = {}
-    for k, v in pairs:
-        if k in rec:
-            raise ValueError(f"JSON object repeats the key {k!r}")
-        rec[k] = v
-    return rec
 
 
 def _write(path, data, out):

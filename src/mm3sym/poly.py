@@ -146,15 +146,10 @@ class Polynomial:
 
     def substitute(self, assignment):
         """Replace the given variables by Cyclotomic values, leaving
-        the rest symbolic."""
-        return Polynomial(add_into({}, self._substituted(assignment)))
-
-    def _substituted(self, assignment):
-        # a monomial stops at its first zero factor: its term drops out.
-        # A coefficient that is the ONE object, as Polynomial.variable
-        # gives, is replaced by the first value instead of scaled.
+        the rest symbolic.  A monomial stops at its first zero factor:
+        its term drops out."""
         get = assignment.get
-        coerce = Cyclotomic.coerce
+        items = []
         for m, c in self.terms.items():
             rest = []
             for v, e in m:
@@ -162,14 +157,13 @@ class Polynomial:
                 if x is _UNSET:
                     rest.append((v, e))
                     continue
-                x = coerce(x)
+                x = Cyclotomic.coerce(x)
                 if not x:
                     break
-                if e != 1:
-                    x = x ** e
-                c = x if c is ONE else c * x
+                c = c * x ** e
             else:
-                yield tuple(rest), c
+                items.append((tuple(rest), c))
+        return Polynomial(add_into({}, items))
 
     def map_vars(self, fn):
         """Rename variables via fn (must stay injective on each monomial)."""

@@ -30,6 +30,17 @@ def _ints_only(x):
     return type(x) is int or type(x) is list and all(map(_ints_only, x))
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that occurs twice, whose
+    value json.loads would otherwise take from the last occurrence."""
+    rec = {}
+    for k, v in pairs:
+        if k in rec:
+            raise ValueError(f"JSON object repeats the key {k!r}")
+        rec[k] = v
+    return rec
+
+
 def index_is_even(alpha):
     """Each symbol occurs an even number of times: its bits cancel."""
     (a, b), (c, d), (e, f) = alpha
@@ -130,7 +141,7 @@ class Tensor:
 
     @classmethod
     def loads(cls, text):
-        return cls.from_json(json.loads(text))
+        return cls.from_json(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def tensor_sum(tensors):

@@ -28,32 +28,32 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_generic_counts():
+    # the equations follow from the rank, so one rank builds them
     rng = random.Random(101)
     for _ in range(10):
         r = rng.randint(1, 30)
-        s = brent.generic_system(r)
-        assert len(s.equations) == 729
-        assert len(s.variables) == 27 * r
+        assert len(brent.generic_system(r).variables) == 27 * r
+    assert len(brent.equations(brent.generic_system(r))) == 729
     assert len(brent.generic_system(23).variables) == 621
     with pytest.raises(brent.BrentError):
         brent.generic_system(0)
 
 
 def test_generic_structure():
-    s = brent.generic_system(1)
-    eq = s.equations[0]
+    equations = brent.equations(brent.generic_system(1))
+    eq = equations[0]
     assert eq.label == ((1, 1), (1, 1), (1, 1))
     assert eq.lhs == parse_polynomial("x1_11*y1_11*z1_11")
     assert eq.rhs == Cyclotomic.rational(1)
-    ones = sum(1 for e in s.equations if e.rhs == Cyclotomic.rational(1))
+    ones = sum(1 for e in equations if e.rhs == Cyclotomic.rational(1))
     assert ones == 27  # one per entry of the target tensor
 
 
 def test_generic_matches_termwise_build():
-    s = brent.generic_system(2)
+    equations = brent.equations(brent.generic_system(2))
     target = matmul_tensor()
     want = []
-    for eq in s.equations:
+    for eq in equations:
         alpha = eq.label
         lhs = Polynomial()
         for j in (1, 2):
@@ -63,8 +63,8 @@ def test_generic_matches_termwise_build():
                 * Polynomial.variable(BrentVar(2, j, *alpha[2]))
             )
         want.append((alpha, lhs, target.coeff(alpha).constant_value()))
-    assert [(eq.label, eq.lhs, eq.rhs) for eq in s.equations] == want
-    assert len({eq.label for eq in s.equations}) == 729
+    assert [(eq.label, eq.lhs, eq.rhs) for eq in equations] == want
+    assert len({eq.label for eq in equations}) == 729
 
 
 def test_trivial_solution():
@@ -107,7 +107,7 @@ def test_all_zero_fails_exactly_target_support():
     ok, failing = brent.check_solution(s, {v: 0 for v in s.variables})
     assert not ok
     assert len(failing) == 27
-    assert set(failing) == {eq.label for eq in s.equations
+    assert set(failing) == {eq.label for eq in brent.equations(s)
                             if eq.rhs == Cyclotomic.rational(1)}
 
 
@@ -127,15 +127,15 @@ def _substituted_check(system, assignment):
     compare the polynomial with the constant right side."""
     values = {brent.var_from_str(k) if isinstance(k, str) else k: v
               for k, v in assignment.items()}
-    failing = [eq.label for eq in system.equations
+    failing = [eq.label for eq in brent.equations(system)
                if not eq.lhs.substitute(values) == Polynomial.constant(eq.rhs)]
     return not failing, failing
 
 
 def test_check_solution_matches_substitution():
-    # check_solution substitutes too, except on the columns of a system
-    # built by generic_system: only ranks 1 to 3 compare two routes, the
-    # other systems pin the name lookup and the coercion of the values
+    # check_solution substitutes too, except on a generic system's
+    # columns: only ranks 1 to 3 compare two routes, the other systems
+    # pin the name lookup and the coercion of the values
     rng = random.Random(109)
     scalars = {
         "gaussian": lambda: Cyclotomic((rng.randint(-2, 2), 0, 0,
@@ -266,7 +266,8 @@ def test_dense_solution_and_products(monkeypatch):
     assert (ok, failing) == _substituted_check(s, broken)
     # x5 and y5 have no zero coordinate, so every equation at z-cell
     # (3, 1) breaks
-    assert failing == [eq.label for eq in s.equations if eq.label[2] == (3, 1)]
+    assert failing == [eq.label for eq in brent.equations(s)
+                       if eq.label[2] == (3, 1)]
     assert len(failing) == 81
     # the values are packed into ints, so no Cyclotomic is multiplied
     calls = []
@@ -289,7 +290,8 @@ def test_dense_solution_scaled_by_a_non_rational_unit():
     sol[BrentVar(0, 4, 2, 3)] += 1
     ok, failing = brent.check_solution(s, sol)
     assert (ok, failing) == _substituted_check(s, sol)
-    assert failing == [eq.label for eq in s.equations if eq.label[0] == (2, 3)]
+    assert failing == [eq.label for eq in brent.equations(s)
+                       if eq.label[0] == (2, 3)]
 
 
 def _perturbed_dense_solution():
@@ -307,18 +309,21 @@ GENERIC_23_DIGESTS = {
 }
 
 
-def _unbuildable(variables):
+def _unbuildable(system):
     raise AssertionError("generic equations built")
 
 
 def test_generic_cli_paths_build_no_equation(monkeypatch, tmp_path):
     # export, parse_system and check_solution read a generic system's
     # rank and columns only: with the builder broken they still print
-    # the bytes of the built system
-    monkeypatch.setattr(brent, "_generic_equations", _unbuildable)
+    # the bytes of the built system.  A generic system is its rank:
+    # equal ranks are equal and hash equal, other ranks differ
+    monkeypatch.setattr(brent, "equations", _unbuildable)
     s = brent.generic_system(27)
-    assert len(s.equations) == 729
     assert repr(s) == "<BrentSystem generic 27: 729 equations, 729 variables>"
+    assert s == brent.generic_system(27)
+    assert hash(s) == hash(brent.generic_system(27))
+    assert brent.generic_system(3) != brent.generic_system(4)
     assert brent.parse_system(brent.export(s, "json")) == s
 
     def run(argv):
@@ -343,51 +348,6 @@ def test_generic_cli_paths_build_no_equation(monkeypatch, tmp_path):
                                           for v, x in sol.items()}))
         assert run(["check-solution", "--system", str(system),
                     "--assignment", str(assignment)]) == want
-
-
-def test_generic_equations_build_once_and_equal_the_tuple(monkeypatch):
-    s = brent.generic_system(2)
-    built = tuple(s.equations)
-    assert s.equations[5] is built[5] and s.equations[-2:] == built[-2:]
-    assert s.equations == built and built == s.equations
-    assert hash(s.equations) == hash(built)
-    by_hand = brent.BrentSystem("generic", s.variables, built, rank=2)
-    assert by_hand == s and s == by_hand and hash(by_hand) == hash(s)
-    # equal unbuilt ranks compare by rank; other ranks differ
-    monkeypatch.setattr(brent, "_generic_equations", _unbuildable)
-    assert brent.generic_system(3) == brent.generic_system(3)
-    assert brent.generic_system(3).equations != brent.generic_system(4).equations
-    assert tuple(s.equations) == built
-
-
-def test_hand_built_generic_system_is_checked_term_by_term(monkeypatch):
-    # a generic system built by hand may carry any equations, so it is
-    # printed and checked from its terms, never from the columns
-    s = brent.generic_system(2)
-    equations = list(s.equations)
-    # an equation off the target's support gets a constant term
-    k = next(k for k, eq in enumerate(equations) if eq.rhs == ZERO)
-    edited = equations[k].lhs + 1
-    equations[k] = equations[k]._replace(lhs=edited)
-    by_hand = brent.BrentSystem("generic", s.variables, tuple(equations),
-                                rank=2)
-    assert by_hand != s
-    rng = random.Random(127)
-    assignments = [{v: 0 for v in s.variables}] + [
-        {v: Cyclotomic((rng.randint(-1, 1), 0, 0, rng.randint(-1, 1)))
-         for v in s.variables} for _ in range(3)]
-    want = [_substituted_check(by_hand, a) for a in assignments]
-    # the 27 of the target and the edited one, where the columns see 27
-    assert len(want[0][1]) == 28
-    assert brent.check_solution(s, assignments[0])[1] == [
-        label for label in want[0][1] if label != equations[k].label]
-
-    def no_columns(coords):
-        raise AssertionError("columns read")
-    monkeypatch.setattr(brent, "_generic_columns", no_columns)
-    assert [brent.check_solution(by_hand, a) for a in assignments] == want
-    rec = brent.to_json(by_hand)
-    assert rec["equations"][k]["lhs"] == str(edited)
 
 
 def test_generic_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -670,16 +630,34 @@ def test_parse_system_rejects_bad_records():
             brent.parse_system(bad)
 
 
+def test_parse_system_refuses_a_repeated_key():
+    # json.loads keeps the last copy of a key, so with either copy last
+    # the record would read as another one: the export of rank 2 or a
+    # record claiming rank 5, the first equation as printed or edited
+    text = brent.export(brent.generic_system(2), "json")
+    lhs = '"lhs": "x1_11*y1_11*z1_11 + x2_11*y2_11*z2_11",'
+    assert '"rank": 2,' in text and lhs in text
+    for key, real, other in (("rank", '"rank": 2,', '"rank": 5,'),
+                             ("lhs", lhs, '"lhs": "x1_11",')):
+        for copies in ((other, real), (real, other)):
+            bad = text.replace(real, " ".join(copies), 1)
+            for rec in (bad, bad.encode()):
+                with pytest.raises(ValueError,
+                                   match=f"repeats the key '{key}'"):
+                    brent.parse_system(rec)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 27])
 def test_generic_lhs_texts_match_the_polynomial_printer(rank):
     # json and text print a generic lhs from the coordinate names; the
     # Polynomial printer sorts and prints the built terms independently
     s = brent.generic_system(rank)
-    want = [str(eq.lhs) for eq in s.equations]
+    equations = brent.equations(s)
+    want = [str(eq.lhs) for eq in equations]
     rec = json.loads(brent.export(s, "json"))
     assert [eq["lhs"] for eq in rec["equations"]] == want
     lines = brent.export(s, "text").splitlines()
-    assert lines == [f"{lhs} = {eq.rhs}" for lhs, eq in zip(want, s.equations)]
+    assert lines == [f"{lhs} = {eq.rhs}" for lhs, eq in zip(want, equations)]
     assert len(want[0].split(" + ")) == rank
 
 

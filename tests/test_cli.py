@@ -234,7 +234,7 @@ def test_brent_generic(tmp_path):
                           "--format", "json", "--out", str(path)])
     assert code == 0 and text == ""
     system = brent.parse_system(path.read_text())
-    assert len(system.equations) == 729
+    assert len(brent.equations(system)) == 729
     assert len(system.variables) == 621
 
 
@@ -417,6 +417,16 @@ def test_check_solution_repeated_key(tmp_path, capsys):
                              "--assignment", str(sol_path)])
         assert (code, out) == (3, "")
         assert "repeats the key 'x1_11'" in capsys.readouterr().err
+    # and a system record that repeats its rank: with 27 last it would
+    # read as rank 27 (OK), with 5 last it would be refused
+    system = sys_path.read_text()
+    sol_path.write_text(sol)
+    for ranks in ('"rank": 5, "rank": 27,', '"rank": 27, "rank": 5,'):
+        sys_path.write_text(system.replace('"rank": 27,', ranks, 1))
+        code, out = capture(["check-solution", "--system", str(sys_path),
+                             "--assignment", str(sol_path)])
+        assert (code, out) == (3, "")
+        assert "repeats the key 'rank'" in capsys.readouterr().err
 
 
 def test_act(tmp_path):
@@ -529,7 +539,17 @@ def test_error_exit_codes(tmp_path):
         assert code == 3, text
     for text in ('[1, 2]', '{"entries": 5}', '{"entries": [5]}',
                  '{"entries": [{"idx": [[1, 1], [1, 1], [1, 1]], "coeff": 5}]}',
-                 '{"entries": [{"idx": 5, "coeff": "1"}]}'):
+                 '{"entries": [{"idx": 5, "coeff": "1"}]}',
+                 # a repeated key, in either order: json.loads would keep
+                 # the last entries list or the last coefficient
+                 '{"entries": [{"idx": [[1, 1], [1, 1], [1, 1]], '
+                 '"coeff": "1"}], "entries": []}',
+                 '{"entries": [], "entries": [{"idx": [[1, 1], [1, 1], '
+                 '[1, 1]], "coeff": "1"}]}',
+                 '{"entries": [{"idx": [[1, 1], [1, 1], [1, 1]], '
+                 '"coeff": "1", "coeff": "2"}]}',
+                 '{"entries": [{"idx": [[1, 1], [1, 1], [1, 1]], '
+                 '"coeff": "2", "coeff": "1"}]}'):
         bad.write_text(text)
         code, _ = capture(["act", "--g", "a=(perm=(231),signs=+--);b=id",
                            "--in", str(bad)])
