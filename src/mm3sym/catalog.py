@@ -56,7 +56,8 @@ class OrbitFamily(NamedTuple):
         """Expand into a Tensor.  With params=None the family keeps its
         fresh symbolic parameters; otherwise params is a sequence of
         scalar values, one per letter, substituted into each entry of
-        the symbolic tensor, whose order the entries keep."""
+        the symbolic tensor, whose order the entries keep, once per
+        coefficient object that the entries share."""
         if params is not None and len(params) != len(self.params):
             raise CatalogError(
                 f"family {self.id} takes {len(self.params)} parameters, "
@@ -68,8 +69,7 @@ class OrbitFamily(NamedTuple):
         if params is None:
             return t
         assignment = dict(zip(self.param_ids(), map(Cyclotomic.coerce, params)))
-        values = ((a, p.substitute(assignment)) for a, p in t.entries.items())
-        return Tensor({a: q for a, q in values if q})
+        return t.map_coeffs(lambda p: p.substitute(assignment))
 
     @classmethod
     def from_json(cls, rec):

@@ -90,20 +90,19 @@ def _write_json_report(report, out):
     # the few distinct ids and fact names, each encoded once
     ids = _Memo(str).__getitem__
     names = _Memo(json.dumps).__getitem__
+    sep = ",\n    "  # between the items of a list at indent 4
     for start in range(0, len(certificates), _REPORT_BLOCK):
         items = []
-        for c in certificates[start:start + _REPORT_BLOCK]:
-            key = c.rule, c.identities
-            tail = tails.get(key)
+        for multiset, rule, identities in certificates[start:start + _REPORT_BLOCK]:
+            tail = tails.get((rule, identities))
             if tail is None:
                 # the pair as it sits at a certificate's indent 3
-                cited = ",\n    ".join(map(names, c.identities))
-                tail = tails[key] = (
-                    f'   "rule": {json.dumps(c.rule)},\n   "identities": '
+                cited = sep.join(map(names, identities))
+                tail = tails[rule, identities] = (
+                    f'   "rule": {json.dumps(rule)},\n   "identities": '
                     + (f"[\n    {cited}\n   ]" if cited else "[]") + "\n  }")
-            items.append('  {\n   "multiset": [\n    '
-                         + ",\n    ".join(map(ids, c.multiset))
-                         + "\n   ],\n" + tail)
+            items.append(f'  {{\n   "multiset": [\n    '
+                         f'{sep.join(map(ids, multiset))}\n   ],\n{tail}')
         out.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
     out.write("\n ]\n}\n")
 

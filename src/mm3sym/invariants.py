@@ -7,9 +7,10 @@ the coordinate-wise average r_i(w)/|Q_i|; the orbit sum of a tensor
 with orbit length l is l times the projection.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, ONE, _signed_sum
+from .cyclotomic import Cyclotomic, ONE, _canon, _make, _signed_sum
 from .poly import Polynomial, add_into, _term_str
 from .tensors import INDICES, POSITION, Tensor, index_is_even, tensor_sum
 from . import group
@@ -150,17 +151,26 @@ def project(w):
 
 def orbit_sum(w, length):
     """Sum over the orbit of w, of the given length: coordinate i is
-    r_i(w)*length/|Q_i|."""
+    r_i(w)*length/|Q_i|.  Entries share coefficient objects, so each
+    class counts the entries that hold each object and adds its terms
+    once, times count*length/|Q_i|; keying by id is safe since w holds
+    every object for the whole call."""
+    if not length:
+        return GammaVector()
     lookup = _class_lookup()
-    sums = [{} for _ in range(12)]
+    held = [{} for _ in range(12)]  # per class: id -> [object, count]
     for alpha, p in w.entries.items():
         cid = lookup.get(alpha)
         if cid is not None:
-            add_into(sums[cid - 1], p.terms.items())
-    coords = [
-        Polynomial(s).scale(Cyclotomic.rational(length, CLASS_SIZES[k]))
-        for k, s in enumerate(sums)
-    ]
+            held[cid - 1].setdefault(id(p), [p, 0])[1] += 1
+    coords = []
+    for size, objects in zip(CLASS_SIZES, held):
+        terms = {}
+        for p, n in objects.values():
+            q = _canon(Fraction(n * length, size))
+            add_into(terms, [(m, _make(*[x * q for x in c.coords]))
+                             for m, c in p.terms.items()])
+        coords.append(Polynomial(terms))
     return GammaVector(coords)
 
 

@@ -126,6 +126,11 @@ class Polynomial:
         other = Polynomial.coerce(other)
         # Q(zeta_12) is a field and terms hold only nonzero
         # coefficients, so no product c1 * c2 is 0
+        if len(self.terms) == 1 == len(other.terms):
+            # one term each, as every nonzero catalog cell is
+            [(m1, c1)] = self.terms.items()
+            [(m2, c2)] = other.terms.items()
+            return Polynomial({_mono_mul(m1, m2): c1 * c2})
         return Polynomial(add_into({}, [
             (_mono_mul(m1, m2), c1 * c2)
             for m1, c1 in self.terms.items()

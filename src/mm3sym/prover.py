@@ -52,6 +52,11 @@ GAMMA_TABLE_TYPES = frozenset({24, 29, 32, 38})
 E_CLASS_TYPES = frozenset({35})
 FINAL_TYPES = frozenset({1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
                          19, 20, 34, 40, 41, 44})  # all the others
+REPLACEABLE = REPLACEABLE_LARGE | REPLACEABLE_EQUAL
+
+# the per-family fact names that certificates cite, built once
+_SUPPORT_FACTS = {fid: f"replacement.support.{fid}" for fid in REPLACEABLE}
+_FINAL_FACTS = {fid: f"final.g3g5.{fid}" for fid in FINAL_TYPES}
 
 
 class EliminationCertificate(NamedTuple):
@@ -184,11 +189,11 @@ def check_replacement():
     spanned by the three explicit short orbits of total length 6."""
     facts = {}
     table = gamma_table()
-    for fid in sorted(REPLACEABLE_LARGE | REPLACEABLE_EQUAL):
+    for fid in sorted(REPLACEABLE):
         support = table[fid].support()
         _require(support <= {1, 2, 6}, "replacement.support",
                  f"family {fid} gamma support {sorted(support)}")
-        facts[f"replacement.support.{fid}"] = (
+        facts[_SUPPORT_FACTS[fid]] = (
             f"orbit sum of family {fid} involves only g1, g2, g6"
         )
     # the three replacement orbits and their sums
@@ -361,8 +366,7 @@ def check_final():
     facts = {}
     table = gamma_table()
     rest = frozenset(all_families()) - (
-        REPLACEABLE_LARGE | REPLACEABLE_EQUAL | GAMMA_9_12_TYPES
-        | GAMMA_TABLE_TYPES | E_CLASS_TYPES)
+        REPLACEABLE | GAMMA_9_12_TYPES | GAMMA_TABLE_TYPES | E_CLASS_TYPES)
     _require(rest == FINAL_TYPES, "final.types", str(sorted(rest)))
     facts["final.types"] = (
         "types not eliminated by the earlier steps: " + str(sorted(rest))
@@ -371,7 +375,7 @@ def check_final():
         if fid == 44:
             _require(not table[fid][3] and not table[fid][5],
                      "final.g3g5", "family 44")
-            facts["final.g3g5.44"] = (
+            facts[_FINAL_FACTS[44]] = (
                 "orbit sum of family 44 involves neither g3 nor g5"
             )
             continue
@@ -379,7 +383,7 @@ def check_final():
         _require(pi12(w) == w, "final.pi12", f"family {fid}")
         _require(table[fid][3] == table[fid][5], "final.g3g5",
                  f"family {fid}")
-        facts[f"final.g3g5.{fid}"] = (
+        facts[_FINAL_FACTS[fid]] = (
             f"family {fid} is pi12-symmetric and its orbit sum has equal "
             "g3 and g5 coordinates"
         )
@@ -395,9 +399,9 @@ def check_final():
 def _certificate_for(multiset):
     """First applicable rule, in the proof's order."""
     types = set(multiset)
-    hit = sorted(types & (REPLACEABLE_LARGE | REPLACEABLE_EQUAL))
+    hit = sorted(types & REPLACEABLE)
     if hit:
-        ids = tuple(f"replacement.support.{fid}" for fid in hit) + (
+        ids = tuple([_SUPPORT_FACTS[fid] for fid in hit]) + (
             "replacement.vector.sigma'", "replacement.vector.sigma''",
             "replacement.vector.sigma'''", "replacement.det", "replacement.budget",
         )
@@ -438,7 +442,7 @@ def _certificate_for(multiset):
             ids += ["e_class.target.g3"]
         return EliminationCertificate(multiset, E_11_12_21, tuple(ids))
     if types <= FINAL_TYPES:
-        ids = [f"final.g3g5.{fid}" for fid in sorted(types)]
+        ids = [_FINAL_FACTS[fid] for fid in sorted(types)]
         ids += ["final.target"]
         return EliminationCertificate(multiset, GAMMA_3_EQ_5, tuple(ids))
     return None
@@ -457,6 +461,7 @@ def verify_theorem(max_length=MAX_LENGTH):
     # a certificate's rule and identities depend only on the type set,
     # so each type set is certified once, on its first multiset
     by_types = {}
+    make = EliminationCertificate._make
     for multiset, types in walk_multisets(max_length):
         if types not in by_types:
             by_types[types] = _certificate_for(multiset)
@@ -464,8 +469,7 @@ def verify_theorem(max_length=MAX_LENGTH):
         if first is None:
             survivors.append(multiset)
         else:
-            certificates.append(
-                EliminationCertificate(multiset, first.rule, first.identities))
+            certificates.append(make((multiset, first.rule, first.identities)))
             rule_counts[first.rule] += 1
     # every multiset cites the facts of its type set's certificate
     used = set()

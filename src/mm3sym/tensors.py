@@ -7,7 +7,7 @@ used to expand decomposable tensors.
 """
 
 import json
-from itertools import chain, product
+from itertools import chain
 
 from .poly import Polynomial, add_into, parse_polynomial
 
@@ -64,9 +64,20 @@ class Tensor:
 
     def scale(self, c):
         c = Polynomial.coerce(c)
+        return self.map_coeffs(lambda p: p * c)
+
+    def map_coeffs(self, fn):
+        """The tensor of fn(p) at each entry p, in entry order; an entry
+        whose value is 0 drops out.  Entries share coefficient objects,
+        so fn is called once per object, keyed by id, which is safe
+        since self holds every object for the whole call; entries that
+        shared an object share its value."""
+        values = {}
         entries = {}
         for a, p in self.entries.items():
-            q = p * c
+            q = values.get(id(p))
+            if q is None:
+                q = values[id(p)] = fn(p)
             if q:
                 entries[a] = q
         return Tensor(entries)
@@ -163,17 +174,32 @@ def tensor_from_factors(x, y, z):
     per multiset of cell objects, so entries whose cells are the same
     objects in some order share one Polynomial; sharing is safe since no
     Polynomial is changed after it is built, and keying by id is safe
-    since x, y and z hold every cell for the whole call."""
-    supports = [[(pair, p) for pair, p in zip(PAIRS, chain(*m)) if p]
-                for m in (x, y, z)]
+    since x, y and z hold every cell for the whole call.
+
+    The k-th distinct cell object weighs 4**k.  An object fills at most
+    one cell of an entry per factor, so at most 3 times, and a sum of
+    weights names the multiset of its objects with no carry.  The
+    product of an x and a y cell is made once per such sum and reused
+    for every z cell."""
+    weights = {}
+    xs, ys, zs = [[(pair, p, weights.setdefault(id(p), 4 ** len(weights)))
+                   for pair, p in zip(PAIRS, chain(*m)) if p]
+                  for m in (x, y, z)]
     entries = {}
-    products = {}
-    for (a, px), (b, py), (c, pz) in product(*supports):
-        key = tuple(sorted((id(px), id(py), id(pz))))
-        p = products.get(key)
-        if p is None:
-            p = products[key] = px * py * pz
-        entries[a, b, c] = p
+    pairs = {}
+    triples = {}
+    for a, px, wx in xs:
+        for b, py, wy in ys:
+            wxy = wx + wy
+            pxy = pairs.get(wxy)
+            if pxy is None:
+                pxy = pairs[wxy] = px * py
+            for c, pz, wz in zs:
+                key = wxy + wz
+                p = triples.get(key)
+                if p is None:
+                    p = triples[key] = pxy * pz
+                entries[a, b, c] = p
     return Tensor(entries)
 
 

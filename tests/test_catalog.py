@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, product
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from mm3sym import catalog, group
 from mm3sym.brent import invariant_system
 from mm3sym.cyclotomic import ZETA
-from mm3sym.poly import ParamId, parse_polynomial
+from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import pi12
 from mm3sym.catalog import (
     all_families, get_family, matmul_tensor,
@@ -121,10 +122,30 @@ def test_products_of_cells_are_shared():
     assert len({id(p) for p in t.entries.values()}) <= 4
 
 
+def test_expansion_makes_one_product_per_multiset_of_cells(monkeypatch):
+    # one product per multiset of an x and a y cell object, one per
+    # multiset of three, and for a family with a scale one more per
+    # multiset of three; the multisets are counted here from the cells
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda p, q: calls.append(1) or mul(p, q))
+    for fam in all_families().values():
+        x, y, z = ([p for p in chain(*fam.factors[k]) if p]
+                   for k in catalog._SLOTS[fam.power])
+        pairs = {tuple(sorted(map(id, cells))) for cells in product(x, y)}
+        triples = {tuple(sorted(map(id, cells)))
+                   for cells in product(x, y, z)}
+        calls.clear()
+        fam.tensor()
+        scaled = fam.scale is not None
+        assert len(calls) == len(pairs) + len(triples) * (1 + scaled), fam.id
+
+
 def test_valued_tensor_is_the_substituted_symbolic_tensor():
     # a point is substituted into each entry of the one symbolic
     # expansion: the entries that vanish drop out, and the rest keep
-    # their order
+    # their order; entries that shared a symbolic object share its value
     rng = random.Random(33)
     values = [0, 0, 1, -1, 2, Fraction(1, 2), ZETA]
     for fam in all_families().values():
@@ -132,12 +153,20 @@ def test_valued_tensor_is_the_substituted_symbolic_tensor():
         n = len(fam.params)
         points = [[0] * n, [k + 2 for k in range(n)]] + [
             [rng.choice(values) for _ in range(n)] for _ in range(3)]
+        if fam.id == 9:
+            points.append([1, 0])  # the orbit collapses to length 1
         for point in points:
             assignment = dict(zip(fam.param_ids(), point))
             want = [(a, p.substitute(assignment))
                     for a, p in w.entries.items()]
-            assert list(fam.tensor(point).entries.items()) == [
+            got = fam.tensor(point).entries
+            assert list(got.items()) == [
                 (a, q) for a, q in want if q], (fam.id, point)
+            shared = {}
+            for a, p in w.entries.items():
+                if a in got:
+                    shared.setdefault(id(p), set()).add(id(got[a]))
+            assert all(len(ids) == 1 for ids in shared.values())
 
 
 def test_wrong_parameter_count_is_refused_before_expanding(monkeypatch):

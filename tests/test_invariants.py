@@ -5,13 +5,13 @@ import pytest
 from mm3sym import group, invariants
 from mm3sym.cyclotomic import Cyclotomic
 from mm3sym.poly import Polynomial, parse_polynomial
-from mm3sym.tensors import INDICES, Tensor, pi12, tensor_sum
+from mm3sym.tensors import INDICES, POSITION, Tensor, pi12, tensor_sum
 from mm3sym.invariants import (
     compute_classes, CLASS_SIZES, CLASS_REPRESENTATIVES, ClassTableError,
     GammaVector, r_sum, project, orbit_sum,
     gamma_to_tensor, reynolds,
 )
-from mm3sym.catalog import matmul_tensor, get_family
+from mm3sym.catalog import all_families, matmul_tensor, get_family
 
 
 def rand_tensor(rng, size=5):
@@ -150,6 +150,39 @@ def test_orbit_sum_formula():
     for u in orbit:
         total = total + u
     assert gamma_to_tensor(v) == total
+
+
+def test_orbit_sum_matches_class_sums():
+    # orbit_sum adds each coefficient object once per class, times the
+    # number of entries that hold it; the route here is r_i(w) * l/|Q_i|,
+    # added entry by entry.  The family tensors share their objects, at
+    # lengths 1 and l; the other cases hold equal coefficients that are
+    # distinct objects, and c beside -c
+    cases = []
+    for fam in all_families().values():
+        w = fam.tensor()
+        cases += [(w, 1), (w, fam.length)]
+    for fid in (9, 23, 41):
+        items = list(get_family(fid).tensor().entries.items())
+        copies = {a: (Polynomial(dict(c.terms)), -(-c), c)[n % 3]
+                  for n, (a, c) in enumerate(items)}
+        signs = {a: c if n % 2 else -c for n, (a, c) in enumerate(items)}
+        cases += [(Tensor(copies), 18), (Tensor(signs), 18)]
+    # one object c and one object -c, on half of Q2 each: they cancel
+    c = parse_polynomial("a - z*b")
+    minus_c = -c
+    q2 = sorted(compute_classes()[1], key=POSITION.__getitem__)
+    cases.append((Tensor({a: (c, minus_c)[n % 2]
+                          for n, a in enumerate(q2)}), 6))
+    for w, length in cases:
+        v = orbit_sum(w, length)
+        assert v == GammaVector([
+            r_sum(w, i).scale(Cyclotomic.rational(length, CLASS_SIZES[i - 1]))
+            for i in range(1, 13)])
+        assert all(x for p in v.coords for x in p.terms.values())
+        # length 0 gives the zero vector, with no zero coefficient stored
+        assert all(not p.terms for p in orbit_sum(w, 0).coords)
+    assert not orbit_sum(cases[-1][0], 6)[2].terms
 
 
 def test_orbit_sum_detects_degenerate_instances():

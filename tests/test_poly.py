@@ -105,6 +105,30 @@ def test_pow(monkeypatch):
         assert len(calls) == products, n
 
 
+def test_one_term_product_matches_general_route():
+    # two one-term factors take a fast path; a two-term t in f7, which
+    # no factor holds, sends (p + t) * q and t * q through the general one
+    rng = random.Random(41)
+    variables = [A, B, *_POOL]
+    t = parse_polynomial("f7 + 2*f7^2")
+
+    def one_term():
+        c = Cyclotomic()
+        while not c:
+            c = rand_cyc(rng)
+        picked = rng.sample(variables, rng.randint(0, 3))
+        return Polynomial({tuple(sorted(((v, rng.randint(1, 3)) for v in picked),
+                                        key=lambda item: item[0].key())): c})
+
+    point = {v: rand_cyc(rng) for v in variables}
+    for _ in range(60):
+        p, q = one_term(), one_term()
+        pq = p * q
+        assert len(pq.terms) == 1 and all(pq.terms.values())
+        assert pq.terms == ((p + t) * q - t * q).terms
+        assert pq.substitute(point) == p.substitute(point) * q.substitute(point)
+
+
 def test_substitute():
     p = parse_polynomial("a^2*b + 3*a - b")
     q = p.substitute({A: Cyclotomic.rational(2)})

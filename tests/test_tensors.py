@@ -1,14 +1,15 @@
 import json
 import random
 from importlib import resources
+from itertools import chain, product
 
 import pytest
 
-from mm3sym.catalog import get_family
+from mm3sym.catalog import _SLOTS, all_families, get_family
 from mm3sym.cyclotomic import Cyclotomic, IMAG, ZETA
 from mm3sym.poly import ParamId, Polynomial, parse_polynomial
 from mm3sym.tensors import (
-    INDICES, POSITION, index_is_even,
+    PAIRS, INDICES, POSITION, index_is_even,
     Tensor, tensor_from_factors, pi12,
 )
 
@@ -186,3 +187,44 @@ def test_shared_cells_match_reference():
         assert tensor_from_factors(x, x, z) == reference_tensor(fx, fx, fz)
         assert tensor_from_factors(x, y, z) == reference_tensor(fx, fy, fz)
         assert tensor_from_factors(z, x, z) == reference_tensor(fz, fx, fz)
+
+
+def _naive_product(x, y, z):
+    """x (x) y (x) z as x[a] * y[b] * z[c] over the nonzero cells in
+    itertools.product order, one product per entry, each with the sorted
+    ids of its three cell objects."""
+    cells = [[(pair, p) for pair, p in zip(PAIRS, chain(*m)) if p]
+             for m in (x, y, z)]
+    return [((a, b, c), px * py * pz, tuple(sorted(map(id, (px, py, pz)))))
+            for (a, px), (b, py), (c, pz) in product(*cells)]
+
+
+def _assert_expands_like_naive_product(x, y, z):
+    t = tensor_from_factors(x, y, z)
+    naive = _naive_product(x, y, z)
+    assert list(t.entries) == [alpha for alpha, _, _ in naive]
+    assert all(t.entries[alpha] == p for alpha, p, _ in naive)
+    # entries share one object exactly when their cells are the same
+    # multiset of objects
+    objects = {}
+    for alpha, _, cells in naive:
+        objects.setdefault(cells, set()).add(id(t.entries[alpha]))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(set().union(*objects.values())) == len(objects)
+
+
+def test_tensor_from_factors_matches_naive_product():
+    for fam in all_families().values():
+        _assert_expands_like_naive_product(
+            *(fam.factors[k] for k in _SLOTS[fam.power]))
+    # factors over a few objects, so that one object fills several
+    # cells, with negated cells as objects of their own and zero cells
+    rng = random.Random(47)
+    base = [parse_polynomial(s)
+            for s in ("a + z*b", "2 - i*c", "a", "b*c - 1", "3")]
+    pool = base + [-p for p in base] + [Polynomial(), Polynomial()]
+    for _ in range(20):
+        x, y, z = (tuple(tuple(rng.choice(pool) for _ in range(3))
+                         for _ in range(3)) for _ in range(3))
+        for factors in ((x, y, z), (x, x, x), (x, x, z), (z, x, z)):
+            _assert_expands_like_naive_product(*factors)
