@@ -308,6 +308,14 @@ GENERIC_23_DIGESTS = {
     "m2": "c9f809423800494d008b4bb2588dcb8c511d6cd668a732f8000e58eb07f4882f",
 }
 
+# an invariant system whose coefficients include w^3 (i), so its m2
+# export prints ww terms
+INVARIANT_5_38_44_DIGESTS = {
+    "json": "36fd782f8ef93590f617be434ef89cdb2fe4e52559921f85744875cdfa2e281c",
+    "text": "5d21590156f522a31d208c0d15ae9718171ba9ee66baf0148c59ba80b7116331",
+    "m2": "b5ed9a7cf8cb6628513fb61976f4c4b210ab40cecd31630a881fd26c68d7b136",
+}
+
 
 def _unbuildable(system):
     raise AssertionError("generic equations built")
@@ -689,6 +697,14 @@ def test_m2_export_golden():
 def test_generic_export_golden():
     s = brent.generic_system(23)
     for fmt, digest in GENERIC_23_DIGESTS.items():
+        assert hashlib.sha256(
+            brent.export(s, fmt).encode()).hexdigest() == digest, fmt
+
+
+def test_invariant_export_digests():
+    s = brent.invariant_system((5, 38, 44))
+    assert "ww^3*a2^2*d2" in brent.export(s, "m2")
+    for fmt, digest in INVARIANT_5_38_44_DIGESTS.items():
         assert hashlib.sha256(
             brent.export(s, fmt).encode()).hexdigest() == digest, fmt
 
