@@ -15,10 +15,10 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, ZERO, ONE
+from .cyclotomic import Cyclotomic, ZERO, ONE, _basis_str
 from .poly import (
     Polynomial, BrentVar, ParamId, var_from_str, add_into, _KEYS, _NAMES,
-    _Memo,
+    _Memo, _mono_str,
 )
 from .prover import gamma_row, t_gamma
 from .catalog import CatalogError, get_family, matmul_tensor
@@ -314,48 +314,26 @@ def parse_system(rec):
         raise BrentError(f"bad system record: {exc}") from exc
 
 
-def _wbasis(c):
-    """A cyclotomic scalar as an expression in the generator ww alone,
-    for exports to solvers that know only the minimal polynomial."""
-    parts = []
-    for k, q in enumerate(c.coords):
-        if not q:
-            continue
-        if k == 0:
-            parts.append(str(q))
-        else:
-            mono = "ww" if k == 1 else f"ww^{k}"
-            if q == 1:
-                parts.append(mono)
-            elif q == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{q}*{mono}")
-    return _m2_sum(parts)
+# a scalar's m2 text, in powers of the generator ww alone, by its
+# coordinate tuple: that hash is C-level, a Cyclotomic's is Python
+_M2_SCALARS = _Memo(
+    lambda qs: _basis_str(qs, ("1", "ww", "ww^2", "ww^3")).replace(" ", ""))
 
 
 def _m2_poly(p):
-    keys, names = _KEYS, _NAMES
+    """p in the m2 grammar, its terms in ascending variable order."""
+    keys, scalars = _KEYS, _M2_SCALARS
     parts = []
     for mono, c in sorted(p.terms.items(),
                           key=lambda t: [(keys[v], e) for v, e in t[0]]):
-        factors = []
-        cs = _wbasis(c)
+        cs = scalars[c.coords]
         if "+" in cs[1:] or "-" in cs[1:]:
-            factors.append(f"({cs})")
-        elif cs != "1" or not mono:
-            factors.append(cs)
-        for v, e in mono:
-            name = names[v].replace("_", "")
-            factors.append(name if e == 1 else f"{name}^{e}")
-        parts.append("*".join(factors))
-    return _m2_sum(parts)
-
-
-def _m2_sum(parts):
-    """Join signed terms such as "2", "-ww" with + as an m2 sum, or "0"
-    when there are none."""
-    return "+".join(parts).replace("+-", "-") if parts else "0"
+            cs = f"({cs})"
+        if mono:
+            m = _mono_str(mono).replace("_", "")
+            cs = m if cs == "1" else f"{cs}*{m}"
+        parts.append(cs)
+    return "+".join(parts).replace("+-", "-") or "0"
 
 
 def export(system, fmt):
@@ -369,19 +347,12 @@ def export(system, fmt):
         lines = [f"{lhs} = {rhs}" for _, lhs, rhs in _rows(system)]
         return "\n".join(lines) + "\n"
     if fmt == "m2":
-        names = ", ".join(str(v).replace("_", "") for v in system.variables)
-        lines = [
-            "-- generated equation system; ww is a primitive 12th root of unity",
-            "K = toField(QQ[ww]/(ww^4-ww^2+1));",
-            f"R = K[{names}];",
-            "I = ideal(",
-        ]
-        body = []
-        for eq in equations(system):
-            lhs = _m2_poly(eq.lhs)
-            rhs = _wbasis(eq.rhs)
-            body.append(f"  ({lhs}) - ({rhs})")
-        lines.append(",\n".join(body))
-        lines.append(");")
-        return "\n".join(lines) + "\n"
+        names = ", ".join(_names(system)).replace("_", "")
+        body = ",\n".join(
+            f"  ({_m2_poly(eq.lhs)}) - ({_M2_SCALARS[eq.rhs.coords]})"
+            for eq in equations(system))
+        return ("-- generated equation system; "
+                "ww is a primitive 12th root of unity\n"
+                f"K = toField(QQ[ww]/(ww^4-ww^2+1));\nR = K[{names}];\n"
+                f"I = ideal(\n{body}\n);\n")
     raise BrentError(f"unknown export format: {fmt!r}")

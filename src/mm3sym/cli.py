@@ -12,7 +12,7 @@ import json
 import sys
 
 from .poly import _Memo, parse_cyclotomic
-from .tensors import Tensor, _unique_keys
+from .tensors import Tensor, _idx_str, _unique_keys
 from . import group
 from .invariants import (
     CLASS_REPRESENTATIVES, compute_classes, gamma_to_tensor, orbit_sum,
@@ -97,10 +97,10 @@ def _write_json_report(report, out):
             tail = tails.get((rule, identities))
             if tail is None:
                 # the pair as it sits at a certificate's indent 3
-                cited = sep.join(map(names, identities))
                 tail = tails[rule, identities] = (
                     f'   "rule": {json.dumps(rule)},\n   "identities": '
-                    + (f"[\n    {cited}\n   ]" if cited else "[]") + "\n  }")
+                    + brent._json_list([*map(names, identities)], 4)
+                    + "\n  }")
             items.append(f'  {{\n   "multiset": [\n    '
                          f'{sep.join(map(ids, multiset))}\n   ],\n{tail}')
         out.write(("[\n" if start == 0 else ",\n") + ",\n".join(items))
@@ -144,9 +144,8 @@ def _cmd_orbit_sum(args, out):
 def _cmd_classes(args, out):
     for cid, (cls, rep) in enumerate(
             zip(compute_classes(), CLASS_REPRESENTATIVES), start=1):
-        (i1, j1), (i2, j2), (i3, j3) = rep
         out.write(f"Q{cid}: size {len(cls)}, "
-                  f"representative e({i1}{j1},{i2}{j2},{i3}{j3})\n")
+                  f"representative e({_idx_str(rep)})\n")
     return 0
 
 

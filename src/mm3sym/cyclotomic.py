@@ -55,6 +55,15 @@ def _signed_sum(terms):
     return " ".join(parts) if parts else "0"
 
 
+def _basis_str(qs, symbols):
+    """The sum of the coordinates qs times the basis symbols, the first
+    "1" and unwritten: "2 - z + 1/2*i*z", or "0"."""
+    return _signed_sum(
+        (str(abs(q)) if sym == "1" else sym if abs(q) == 1
+         else f"{abs(q)}*{sym}", q < 0)
+        for q, sym in zip(qs, symbols) if q)
+
+
 def _make(c0, c1, c2, c3):
     """Wrap coordinates that are already ints or Fractions; only a
     Fraction result needs normalizing."""
@@ -196,11 +205,7 @@ class Cyclotomic:
         return (c0 + c2, c2, c3, -c1)
 
     def __str__(self):
-        return _signed_sum(
-            (str(abs(q)) if sym is None
-             else sym if abs(q) == 1
-             else f"{abs(q)}*{sym}", q < 0)
-            for q, sym in zip(self.qbasis(), (None, "z", "i", "i*z")) if q)
+        return _basis_str(self.qbasis(), ("1", "z", "i", "i*z"))
 
     def __repr__(self):
         return f"Cyclotomic({self.coords})"

@@ -14,8 +14,8 @@ import pytest
 from mm3sym import brent, cli, group
 from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, IMAG
 from mm3sym.poly import (
-    BrentVar, ParamId, Polynomial, PolyParseError, parse_polynomial,
-    var_from_str,
+    BrentVar, ParamId, Polynomial, PolyParseError, parse_cyclotomic,
+    parse_polynomial, var_from_str,
 )
 from mm3sym.tensors import PAIRS, Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
@@ -707,6 +707,79 @@ def test_invariant_export_digests():
     for fmt, digest in INVARIANT_5_38_44_DIGESTS.items():
         assert hashlib.sha256(
             brent.export(s, fmt).encode()).hexdigest() == digest, fmt
+
+
+def _rand_cyc(rng):
+    """Zero, one or several nonzero coordinates, each an int or a
+    Fraction of either sign."""
+    coords = [0, 0, 0, 0]
+    for k in rng.sample(range(4), rng.randint(0, 4)):
+        coords[k] = rng.choice((1, -1, rng.randint(-9, 9) or 2,
+                                Fraction(rng.randint(-9, 9) or 1,
+                                         rng.randint(2, 5))))
+    return Cyclotomic(coords)
+
+
+def test_scalars_read_back():
+    # shipped systems print only integer multiples of 1, w^2 and w^3,
+    # so these reach the Fraction and several-coordinate branches
+    rng = random.Random(61)
+    texts = set()
+    for _ in range(300):
+        c = _rand_cyc(rng)
+        m2 = brent._M2_SCALARS[c.coords]
+        assert " " not in m2
+        assert parse_cyclotomic(str(c)) == c
+        assert parse_cyclotomic(m2.replace("ww", "w")) == c
+        texts.add(m2)
+    assert {"0", "1", "-1", "ww", "-ww^3"} <= texts
+    assert any("/" in t for t in texts)
+    assert any(t.count("ww") > 1 for t in texts)
+
+
+def test_m2_polynomials_read_back():
+    rng = random.Random(67)
+    letters = [ParamId(slot, letter) for slot in (1, 2, 12)
+               for letter in "abcdfg"]
+    forms = set()
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            mono = tuple(sorted(
+                ((v, rng.randint(1, 3))
+                 for v in rng.sample(letters, rng.randint(0, 3))),
+                key=lambda t: t[0].key()))
+            c = rng.choice((ONE, -ONE, _rand_cyc(rng)))
+            if c:
+                terms[mono] = c
+        p = Polynomial(terms)
+        text = brent._m2_poly(p)
+        assert parse_polynomial(text.replace("ww", "w")) == p, text
+        forms.update(f for f in ("-1*a", "(", "/") if f in text)
+    assert forms == {"-1*a", "(", "/"}
+
+
+def test_m2_lhs_reads_back_as_text_lhs():
+    rng = random.Random(71)
+    for multiset in rng.sample(enumerate_multisets(23), 50):
+        for eq in brent.invariant_system(multiset).equations:
+            m2 = brent._m2_poly(eq.lhs).replace("ww", "w")
+            assert parse_polynomial(m2) == parse_polynomial(str(eq.lhs)) \
+                == eq.lhs, (multiset, eq.label)
+
+
+def test_json_list_matches_json_dumps():
+    # a key's list at indent 1 has its items at indent 2, as the system
+    # export's; one in an object in a list at indent 4, as the report's
+    wraps = {2: lambda v: {"k": v}, 4: lambda v: {"k": [{"k": v}]}}
+    for items in ([], [7], ["a", None, 1.5, [3]]):
+        for indent, wrap in wraps.items():
+            pad = "\n" + " " * indent
+            encoded = [json.dumps(x, indent=1).replace("\n", pad)
+                       for x in items]
+            text = json.dumps(wrap(None), indent=1).replace(
+                "null", brent._json_list(encoded, indent))
+            assert text == json.dumps(wrap(items), indent=1), (items, indent)
 
 
 def test_exports_deterministic():
