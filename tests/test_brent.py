@@ -709,6 +709,17 @@ def test_invariant_export_digests():
             brent.export(s, fmt).encode()).hexdigest() == digest, fmt
 
 
+def test_invariant_exports_of_every_37th_multiset():
+    # 396 systems spread over all lengths <= 23, each in every format
+    h = hashlib.sha256()
+    for m in enumerate_multisets(23)[::37]:
+        s = brent.invariant_system(m)
+        for fmt in ("json", "text", "m2"):
+            h.update(brent.export(s, fmt).encode())
+    assert h.hexdigest() == \
+        "036b506a11b743a65f70c99144dfefb286c192b938585c38df2dc02ec3a821fe"
+
+
 def _rand_cyc(rng):
     """Zero, one or several nonzero coordinates, each an int or a
     Fraction of either sign."""
