@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, ZERO, ONE, _basis_str
 from .poly import (
-    Polynomial, BrentVar, ParamId, var_from_str, add_into, _KEYS, _NAMES,
+    Polynomial, BrentVar, var_from_str, add_into, _KEYS, _NAMES,
     _Memo, _mono_str,
 )
 from .prover import gamma_row, t_gamma
@@ -112,13 +112,16 @@ def invariant_system(multiset):
     multiset = tuple(multiset)
     if not multiset:
         raise BrentError("multiset must be nonempty")
-    variables = tuple(v for slot, fid in enumerate(multiset, start=1)
-                      for v in get_family(fid).param_ids(slot))
+    # one rename per slot: injective, and it keeps every monomial in
+    # variable order, since a slot's letters sort as the fresh ones do
+    renames = [dict(zip(fam.param_ids(), fam.param_ids(slot)))
+               for slot, fam in enumerate(map(get_family, multiset), start=1)]
+    variables = tuple(v for rename in renames for v in rename.values())
     sums = [{} for _ in range(12)]
-    for slot, fid in enumerate(multiset, start=1):
-        rename = lambda v: ParamId(slot, v.letter)
+    for rename, fid in zip(renames, multiset):
         for acc, p in zip(sums, gamma_row(fid).coords):
-            add_into(acc, p.map_vars(rename).terms.items())
+            add_into(acc, ((tuple([(rename[v], e) for v, e in m]), c)
+                           for m, c in p.terms.items()))
     equations = tuple(
         Equation(m, Polynomial(sums[m - 1]), t_gamma()[m].constant_value())
         for m in range(1, 13)

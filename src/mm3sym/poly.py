@@ -141,12 +141,6 @@ class Polynomial:
     def __pow__(self, n):
         return _power(self, n, Polynomial.constant(1))
 
-    def scale(self, c):
-        c = Cyclotomic.coerce(c)
-        if not c:
-            return Polynomial()
-        return Polynomial({m: v * c for m, v in self.terms.items()})
-
     # -- substitution ------------------------------------------------
 
     def substitute(self, assignment):
@@ -169,15 +163,6 @@ class Polynomial:
             else:
                 items.append((tuple(rest), c))
         return Polynomial(add_into({}, items))
-
-    def map_vars(self, fn):
-        """Rename variables via fn (must stay injective on each monomial)."""
-        terms = {}
-        for m, c in self.terms.items():
-            m2 = tuple(sorted(((fn(v), e) for v, e in m), key=_item_key))
-            assert m2 not in terms, "variable renaming collision"
-            terms[m2] = c
-        return Polynomial(terms)
 
     def variables(self):
         seen = set()

@@ -327,8 +327,8 @@ def check_sign_table():
         # still nonzero, contradicting the target's g10 = 0
         g9_0 = table[fid][9].substitute(b0)
         g10_0 = table[fid][10].substitute(b0)
-        plus = g10_0 == g9_0.scale(third)
-        minus = g10_0 == g9_0.scale(-third)
+        plus = g10_0 == g9_0 * third
+        minus = g10_0 == g9_0 * -third
         _require(plus or minus, "sign_table.chain", f"family {fid}")
         _require(bool(g10_0), "sign_table.chain.nonzero", f"family {fid}")
         sign = "+" if plus else "-"

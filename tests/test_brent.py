@@ -15,12 +15,12 @@ from mm3sym import brent, cli, group
 from mm3sym.cyclotomic import Cyclotomic, ZERO, ONE, IMAG
 from mm3sym.poly import (
     BrentVar, ParamId, Polynomial, PolyParseError, parse_cyclotomic,
-    parse_polynomial, var_from_str,
+    parse_polynomial, var_from_str, _item_key,
 )
 from mm3sym.tensors import PAIRS, Tensor, tensor_from_factors
 from mm3sym.catalog import all_families, matmul_tensor, get_family
 from mm3sym.invariants import orbit_sum
-from mm3sym.prover import enumerate_multisets
+from mm3sym.prover import enumerate_multisets, gamma_row
 
 from factors import matrix
 
@@ -512,21 +512,43 @@ def test_invariant_structure():
         parse_polynomial("4*b2^3")
 
 
+def test_gamma_rows_read_only_the_fresh_parameters():
+    # invariant_system renames each gamma-row monomial into its slot
+    # through a dict and does not sort: every variable must be a fresh
+    # parameter, and the renamed monomial already in variable order.
+    # Slot 23 is the highest, reached by (7,) * 23
+    for fid, fam in all_families().items():
+        fresh = fam.param_ids()
+        monomials = {m for p in gamma_row(fid).coords for m in p.terms}
+        assert all(v in fresh for m in monomials for v, _ in m), fid
+        for slot in range(1, 24):
+            rename = dict(zip(fresh, fam.param_ids(slot)))
+            for m in monomials:
+                renamed = [(rename[v], e) for v, e in m]
+                assert renamed == sorted(renamed, key=_item_key), (fid, m)
+
+
 def test_invariant_system_matches_slot_tensors():
     # the gamma-table route against projecting each entry's slot tensor,
-    # the fresh tensor with its entries renamed into the slot
+    # the fresh tensor with its entries renamed into the slot, each
+    # monomial sorted anew
     def direct(multiset):
         total = None
         for slot, fid in enumerate(multiset, start=1):
             fam = get_family(fid)
-            rename = lambda x: ParamId(slot, x.letter)
-            w = Tensor({a: p.map_vars(rename)
-                        for a, p in fam.tensor().entries.items()})
+            w = Tensor({a: Polynomial({
+                tuple(sorted(((ParamId(slot, v.letter), e) for v, e in m),
+                             key=lambda ve: ve[0].key())): c
+                for m, c in p.terms.items()})
+                for a, p in fam.tensor().entries.items()})
             v = orbit_sum(w, fam.length)
             total = v if total is None else total + v
         return [total[m] for m in range(1, 13)]
 
-    multisets = [(fid, fid) for fid in sorted(all_families())] + [(9, 9, 5)]
+    rng = random.Random(40)
+    multisets = ([(fid, fid) for fid in sorted(all_families())]
+                 + [(9, 9, 5), (7,) * 23]
+                 + rng.sample(enumerate_multisets(23), 5))
     for multiset in multisets:
         s = brent.invariant_system(multiset)
         assert [eq.lhs for eq in s.equations] == direct(multiset), multiset

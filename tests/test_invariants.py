@@ -132,7 +132,7 @@ def test_r_sum_consistency():
     t = rand_tensor(rng, size=20)
     v = project(t)
     for i in range(1, 13):
-        assert v[i].scale(Cyclotomic.rational(CLASS_SIZES[i - 1])) == r_sum(t, i)
+        assert v[i] * Cyclotomic.rational(CLASS_SIZES[i - 1]) == r_sum(t, i)
 
 
 def test_target_projection():
@@ -177,7 +177,7 @@ def test_orbit_sum_matches_class_sums():
     for w, length in cases:
         v = orbit_sum(w, length)
         assert v == GammaVector([
-            r_sum(w, i).scale(Cyclotomic.rational(length, CLASS_SIZES[i - 1]))
+            r_sum(w, i) * Cyclotomic.rational(length, CLASS_SIZES[i - 1])
             for i in range(1, 13)])
         assert all(x for p in v.coords for x in p.terms.values())
         # length 0 gives the zero vector, with no zero coefficient stored
